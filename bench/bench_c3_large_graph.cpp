@@ -37,9 +37,6 @@ int main(int argc, char** argv) {
   bool* sweep_only = flags.Bool(
       "sweep-only", false,
       "run only the thread-count sweep (the CI perf-smoke subset)");
-  bool* batch = flags.Bool(
-      "batch", true,
-      "columnar batch execution in the thread sweep (false = record path)");
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     std::cerr << s << "\n" << flags.Usage();
     return 1;
@@ -157,7 +154,6 @@ int main(int argc, char** argv) {
         options.num_partitions = parts;
         options.max_iterations = 25;
         options.num_threads = threads;
-        options.columnar_batch = *batch;
         bench::JobHarness harness("c3-pr-t" + std::to_string(threads));
         harness.SetFailures(runtime::FailureSchedule(
             std::vector<runtime::FailureEvent>{{8, {3}}, {16, {5}}}));
@@ -183,7 +179,6 @@ int main(int argc, char** argv) {
         report.AddEntry()
             .Set("algo", "pagerank")
             .Set("num_threads", threads)
-            .Set("columnar_batch", *batch)
             .Set("wall_ms", wall_ms)
             .Set("sim_ms", harness.clock().TotalMs())
             .Set("iterations", result->iterations)
@@ -195,7 +190,6 @@ int main(int argc, char** argv) {
         algos::ConnectedComponentsOptions options;
         options.num_partitions = parts;
         options.num_threads = threads;
-        options.columnar_batch = *batch;
         bench::JobHarness harness("c3-cc-t" + std::to_string(threads));
         harness.SetFailures(runtime::FailureSchedule(
             std::vector<runtime::FailureEvent>{{3, {1}}}));
@@ -221,7 +215,6 @@ int main(int argc, char** argv) {
         report.AddEntry()
             .Set("algo", "connected-components")
             .Set("num_threads", threads)
-            .Set("columnar_batch", *batch)
             .Set("wall_ms", wall_ms)
             .Set("sim_ms", harness.clock().TotalMs())
             .Set("iterations", result->iterations)

@@ -21,7 +21,6 @@
 //        --msglog=true|false (outbound message log; implied by
 //        --strategy=confined-log),
 //        --compensation=redistribute|uniform|full, --cache=true|false,
-//        --batch=true|false (columnar vs record-at-a-time execution),
 //        --simd=auto|off|sse4.2|avx2|max (columnar kernel tier),
 //        --mem-budget=BYTES (spill cached artifacts beyond this),
 //        --metrics-out=PATH (metrics v2 export: .prom = Prometheus text,
@@ -129,10 +128,6 @@ int main(int argc, char** argv) {
       "msglog", false,
       "log outbound shuffle messages per superstep (confined-log recovery "
       "replays them; implied by --strategy=confined-log)");
-  bool* batch = flags.Bool(
-      "batch", true,
-      "columnar batch execution on the shuffle/join/reduce hot path "
-      "(false = record-at-a-time; results are byte-identical)");
   std::string* simd = flags.String(
       "simd", "auto",
       "SIMD tier for the columnar kernels: auto|off|sse4.2|avx2|max "
@@ -182,7 +177,6 @@ int main(int argc, char** argv) {
   // itself (below) so it can run the profiler and render the dashboard
   // after the run, and writes the export files at the end.
   options.cache_loop_invariant = *cache;
-  options.columnar_batch = *batch;
   if (!dataflow::simd::ParseSimdLevel(*simd, &options.simd)) {
     std::cerr << "unknown --simd level '" << *simd << "'\n";
     return 1;

@@ -309,7 +309,8 @@ void GetFixedColumn(const std::vector<uint8_t>& bytes, size_t* offset,
   // Caller has bounds-checked `rows * 8` bytes remain.
   col->resize(rows);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(col->data(), bytes.data() + *offset, rows * 8);
+    // An empty column's data() may be null, which memcpy must not see.
+    if (rows > 0) std::memcpy(col->data(), bytes.data() + *offset, rows * 8);
     *offset += rows * 8;
   } else {
     for (size_t i = 0; i < rows; ++i) {
@@ -335,7 +336,9 @@ void GetU32Array(const std::vector<uint8_t>& bytes, size_t* offset,
                  std::vector<uint32_t>* values) {
   // Caller has bounds-checked `values->size() * 4` bytes remain.
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(values->data(), bytes.data() + *offset, values->size() * 4);
+    if (!values->empty()) {
+      std::memcpy(values->data(), bytes.data() + *offset, values->size() * 4);
+    }
     *offset += values->size() * 4;
   } else {
     for (uint32_t& v : *values) GetU32(bytes, offset, &v);

@@ -1,9 +1,9 @@
 // Columnar batch execution support (DESIGN.md §12).
 //
-// Record-at-a-time execution over boxed Value variants is what kept the
+// Record-at-a-time execution over boxed Value variants kept the
 // thread-sweep curve flat: every ExtractKey allocates a Record, every
 // unordered_map insert allocates a node, and every spill blob frames each
-// record separately. This header is the batch-side replacement:
+// record separately. This header is what the executor runs on instead:
 //
 //  * ColumnarBatch — per-partition contiguous typed arrays (int64_t/double
 //    columns plus an arena/offset layout for strings) with schema-driven
@@ -13,10 +13,8 @@
 //    fallback for UDF-style operators.
 //  * FlatKeyIndex — an open-addressing hash index over a partition's rows,
 //    keyed on key columns in place (no ExtractKey allocation, no map
-//    nodes). Groups are arrival-order chains of row ids, so probing yields
-//    exactly the record order the legacy JoinIndex / GroupByKey paths
-//    produced — byte-identity with the record path is structural, not
-//    incidental.
+//    nodes). Groups are arrival-order chains of row ids, so a probe yields
+//    a key's records in the order they arrived.
 //
 // Determinism: every structure here is a pure function of the input rows
 // (hash seeds are fixed, insertion order is partition order), so outputs
@@ -134,15 +132,13 @@ class ColumnarBatch {
 };
 
 /// Per-partition open-addressing hash index over a vector of records, keyed
-/// on `key` columns in place. Replaces the unordered_map<Record, ...>
-/// JoinIndex/GroupMap structures on the batch path: power-of-two capacity,
-/// linear probing, cached per-row key hashes, and arrival-order group
-/// chains of row ids — zero allocation per probe, one allocation per array
-/// at build.
+/// on `key` columns in place (no unordered_map<Record, ...> of groups):
+/// power-of-two capacity, linear probing, cached per-row key hashes, and
+/// arrival-order group chains of row ids — zero allocation per probe, one
+/// allocation per array at build.
 ///
 /// Lifetime: the index borrows `rows`; it must not outlive or observe
-/// mutation of them (same discipline as the legacy JoinIndex's record
-/// pointers).
+/// mutation of them.
 class FlatKeyIndex {
  public:
   /// Indexes `rows` on `key`. Rebuilding over an old index reuses storage.
@@ -177,8 +173,7 @@ class FlatKeyIndex {
   /// Next row of the same group in arrival order, or -1 at the end.
   int32_t Next(int32_t row) const { return next_[row]; }
 
-  /// One row id per distinct key, in first-arrival order — the batch-path
-  /// equivalent of iterating GroupByKey's map (before key sorting).
+  /// One row id per distinct key, in first-arrival order.
   const std::vector<int32_t>& heads() const { return heads_; }
 
   /// Cached HashKey of each indexed row.

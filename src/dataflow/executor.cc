@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -27,16 +26,12 @@ std::string MsglogChannel(int id, const char* port) {
   return buf;
 }
 
-// Hash-based grouping: O(1) inserts instead of the ordered std::map the
-// executor used to pay O(log k) per record for. Operators that need a
-// deterministic key order (group-reduce emission, cogroup's merged key
-// sweep) sort the key set once afterwards.
-using GroupMap =
-    std::unordered_map<Record, std::vector<Record>, RecordHash>;
-
-GroupMap GroupByKey(const std::vector<Record>& records,
-                    const KeyColumns& key) {
-  GroupMap groups;
+// Materialized groups for cogroup, whose UDF takes whole groups of both
+// sides by reference — something no flat index can hand out. The sweep
+// sorts the merged key set once, so hash order never leaks.
+CachedGroups GroupByKey(const std::vector<Record>& records,
+                        const KeyColumns& key) {
+  CachedGroups groups;
   groups.reserve(records.size());
   for (const Record& r : records) {
     groups[ExtractKey(r, key)].push_back(r);
@@ -44,24 +39,12 @@ GroupMap GroupByKey(const std::vector<Record>& records,
   return groups;
 }
 
-/// The group keys in RecordLess order — the deterministic emission order
-/// key-sorted operators contract to (identical to the old std::map sweep).
-std::vector<const Record*> SortedKeys(const GroupMap& groups) {
-  std::vector<const Record*> keys;
-  keys.reserve(groups.size());
-  for (const auto& [k, group] : groups) keys.push_back(&k);
-  std::sort(keys.begin(), keys.end(),
-            [](const Record* a, const Record* b) { return RecordLess(*a, *b); });
-  return keys;
-}
-
-// ------------------------------------------------ batch path (§12) ------
+// ------------------------------------------------ batch kernels (§12) ----
 //
-// The batch implementations below replace the unordered_map/unordered_set
-// structures of the record path with flat open-addressing tables keyed on
-// columns in place. Grouping, fold order, and sorted-key emission are
-// structurally identical to the record path, so outputs stay byte-identical
-// — the only thing that changes is the per-record allocation count (zero).
+// Flat open-addressing tables keyed on columns in place: no per-record key
+// materialization, no map nodes. Grouping follows arrival order and every
+// key-sorted emission sorts once, so outputs are a pure function of the
+// partition's rows.
 
 /// Open-addressing key -> dense-slot resolver. Slots are handed out in
 /// first-arrival order; the caller owns the per-slot payload (accumulator
@@ -119,12 +102,10 @@ class FlatSlotMap {
   size_t size_ = 0;
 };
 
-/// Batch-path reduce of one partition: accumulate in first-arrival order
+/// Generic reduce of one partition: accumulate in first-arrival order
 /// through a FlatSlotMap, then emit accumulators sorted on their key
-/// columns — the same fold order and emission order as the record path's
-/// try_emplace + sorted-ExtractKey sweep. `validate` enforces the
-/// combiner-keeps-the-key contract (post-shuffle phase only, matching the
-/// record path).
+/// columns. `validate` enforces the combiner-keeps-the-key contract
+/// (post-shuffle phase only).
 Status FlatReducePartition(const std::vector<Record>& in,
                            const KeyColumns& key, const CombineFn& combine,
                            bool validate, const std::string& node_name,
@@ -297,32 +278,242 @@ bool FlatReduceTypedPartition(const std::vector<Record>& in,
   return true;
 }
 
-/// Batched join probe (DESIGN.md §15): when the build index runs in key64
-/// mode and the probe side's key extracts to a flat int64 column, hash the
-/// probe keys in one kernel stripe and resolve all group heads with
-/// FindFirstStripe before emitting. Emission order (probe order, chains in
-/// arrival order) is identical to the per-record FindFirst loop. Returns
-/// false when the shapes don't allow it; the caller runs the record probe.
-bool StripedJoinProbe(const FlatKeyIndex& index,
-                      const std::vector<Record>& build,
-                      const std::vector<Record>& probes,
-                      const KeyColumns& probe_key, const JoinFn& join_fn,
-                      std::vector<Record>* out) {
-  if (!index.key64_probe_ready()) return false;
+/// Join probe of one partition against `index` over `build`: emits
+/// join_fn(build row, probe) in probe order, each key's build rows in
+/// arrival order. When the index runs in key64 mode and the probe key
+/// extracts to a flat int64 column (DESIGN.md §15), the probe keys are
+/// hashed in one kernel stripe and every group head is resolved with
+/// FindFirstStripe before emitting; otherwise each probe runs FindFirst.
+/// Both resolve the same heads, so the output does not depend on the
+/// route.
+void JoinProbe(const FlatKeyIndex& index, const std::vector<Record>& build,
+               const std::vector<Record>& probes, const KeyColumns& probe_key,
+               const JoinFn& join_fn, std::vector<Record>* out) {
   std::vector<int64_t> keys;
-  if (!ExtractKey64(probes, probe_key, &keys)) return false;
-  const simd::Kernels& kernels = simd::ActiveKernels();
-  std::vector<uint64_t> hashes(keys.size());
-  kernels.hash_key64(keys.data(), keys.size(), hashes.data());
-  std::vector<int32_t> first(keys.size());
-  index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
-                        first.data());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    for (int32_t row = first[i]; row >= 0; row = index.Next(row)) {
-      out->push_back(join_fn(build[row], probes[i]));
+  if (index.key64_probe_ready() && ExtractKey64(probes, probe_key, &keys)) {
+    std::vector<uint64_t> hashes(keys.size());
+    simd::ActiveKernels().hash_key64(keys.data(), keys.size(), hashes.data());
+    std::vector<int32_t> first(keys.size());
+    index.FindFirstStripe(keys.data(), hashes.data(), keys.size(),
+                          first.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      for (int32_t row = first[i]; row >= 0; row = index.Next(row)) {
+        out->push_back(join_fn(build[row], probes[i]));
+      }
+    }
+    return;
+  }
+  for (const Record& r : probes) {
+    int32_t row = index.FindFirst(r, probe_key, HashKey(r, probe_key));
+    for (; row >= 0; row = index.Next(row)) {
+      out->push_back(join_fn(build[row], r));
     }
   }
-  return true;
+}
+
+/// Observes each build-side group's chain length into the probe-chain
+/// histogram of `metrics` (null = off). Safe from worker threads
+/// (histograms merge commutatively).
+void ObserveProbeChains(runtime::MetricsSink* metrics,
+                        const FlatKeyIndex& index) {
+  if (metrics == nullptr) return;
+  runtime::Histogram local;
+  for (int32_t head : index.heads()) {
+    int64_t chain = 0;
+    for (int32_t row = head; row >= 0; row = index.Next(row)) ++chain;
+    local.Observe(chain);
+  }
+  metrics->Merge(runtime::metric::kHistProbeChain, local);
+}
+
+const std::vector<Record> kEmptyGroup;
+
+// ------------------------------------------------ partition kernels ------
+//
+// One body per operator over one partition's rows. Execute runs them
+// partition-parallel over all partitions; Replay runs them serially over
+// the demanded partitions. Sharing the bodies is what makes a replayed
+// partition byte-identical to the one Execute produced (DESIGN.md §14).
+// Shuffles, caching, stats, and clock charges stay with the callers; each
+// kernel fills one fresh (empty) output partition.
+
+/// Map/FlatMap: with `schema` set, the partition crosses the batched UDF
+/// boundary (DESIGN.md §15) once as a ColumnarBatch — a Map's batch impl
+/// must keep the row count; without it, the record fn runs per record.
+Status MapPartition(const PlanNode& node, const BatchSchema* schema,
+                    const std::vector<Record>& rows,
+                    std::vector<Record>* out) {
+  if (schema != nullptr) {
+    if (rows.empty()) return Status::OK();
+    ColumnarBatch batch = ColumnarBatch::FromRecordsUnchecked(rows, *schema);
+    ColumnarBatch result;
+    node.batch_map_fn(batch, &result);
+    if (node.kind == OpKind::kMap && result.num_rows() != rows.size()) {
+      return Status::Internal("Map '" + node.name + "': batch impl produced " +
+                              std::to_string(result.num_rows()) +
+                              " rows from " + std::to_string(rows.size()));
+    }
+    *out = result.ToRecords();
+    return Status::OK();
+  }
+  if (node.kind == OpKind::kMap) {
+    out->reserve(rows.size());
+    for (const Record& r : rows) out->push_back(node.map_fn(r));
+  } else {
+    for (const Record& r : rows) node.flat_map_fn(r, out);
+  }
+  return Status::OK();
+}
+
+void FilterPartition(const PlanNode& node, const std::vector<Record>& rows,
+                     std::vector<Record>* out) {
+  for (const Record& r : rows) {
+    if (node.filter_fn(r)) out->push_back(r);
+  }
+}
+
+Status ProjectPartition(const PlanNode& node, const std::vector<Record>& rows,
+                        std::vector<Record>* out) {
+  for (const Record& r : rows) {
+    Record projected;
+    projected.reserve(node.project_columns.size());
+    for (int col : node.project_columns) {
+      if (col < 0 || static_cast<size_t>(col) >= r.size()) {
+        return Status::OutOfRange("Project '" + node.name + "': column " +
+                                  std::to_string(col) +
+                                  " out of range for record " +
+                                  RecordToString(r));
+      }
+      projected.push_back(r[col]);
+    }
+    out->push_back(std::move(projected));
+  }
+  return Status::OK();
+}
+
+void UnionPartition(const std::vector<Record>& a, const std::vector<Record>& b,
+                    std::vector<Record>* out) {
+  out->reserve(a.size() + b.size());
+  out->insert(out->end(), a.begin(), a.end());
+  out->insert(out->end(), b.begin(), b.end());
+}
+
+/// Cross of one partition's left rows against the whole broadcast right
+/// side.
+void CrossPartition(const PlanNode& node, const std::vector<Record>& left,
+                    const std::vector<Record>& right_all,
+                    std::vector<Record>* out) {
+  out->reserve(left.size() * right_all.size());
+  for (const Record& l : left) {
+    for (const Record& r : right_all) out->push_back(node.join_fn(l, r));
+  }
+}
+
+/// ReduceByKey fold of one partition: the typed fold when the combiner is
+/// declared and the rows have its shape, else the generic fold.
+Status ReducePartition(const PlanNode& node, const std::vector<Record>& rows,
+                       bool validate, std::vector<Record>* out) {
+  if (node.reduce_kind != ReduceKind::kNone &&
+      FlatReduceTypedPartition(rows, node.left_key, node.reduce_kind,
+                               node.reduce_value_col, out)) {
+    return Status::OK();
+  }
+  return FlatReducePartition(rows, node.left_key, node.combine_fn, validate,
+                             node.name, out);
+}
+
+/// GroupReduceByKey of one partition over a FlatKeyIndex: chains keep
+/// arrival order, and groups are emitted sorted on their key.
+void GroupReducePartition(const PlanNode& node,
+                          const std::vector<Record>& rows,
+                          std::vector<Record>* out) {
+  FlatKeyIndex index;
+  index.Build(rows, node.left_key);
+  std::vector<int32_t> heads = index.heads();
+  std::sort(heads.begin(), heads.end(), [&](int32_t a, int32_t b) {
+    return KeyLess(rows[a], rows[b], node.left_key);
+  });
+  out->reserve(heads.size());
+  std::vector<Record> group;
+  for (int32_t head : heads) {
+    group.clear();
+    for (int32_t r = head; r >= 0; r = index.Next(r)) group.push_back(rows[r]);
+    out->push_back(
+        node.group_reduce_fn(ExtractKey(rows[head], node.left_key), group));
+  }
+}
+
+/// Join of one partition: index the build (left) rows, then probe them.
+void JoinPartition(const PlanNode& node, const std::vector<Record>& build,
+                   const std::vector<Record>& probes,
+                   runtime::MetricsSink* metrics, std::vector<Record>* out) {
+  FlatKeyIndex index;
+  index.Build(build, node.left_key);
+  ObserveProbeChains(metrics, index);
+  JoinProbe(index, build, probes, node.right_key, node.join_fn, out);
+}
+
+/// Cogroup sweep of one partition: the union of both key sets in
+/// RecordLess order, each key's groups (possibly empty) handed to the UDF.
+void CoGroupSweep(const PlanNode& node, const CachedGroups& lgroups,
+                  const CachedGroups& rgroups, std::vector<Record>* out) {
+  std::vector<const Record*> keys;
+  keys.reserve(lgroups.size() + rgroups.size());
+  for (const auto& [k, g] : lgroups) keys.push_back(&k);
+  for (const auto& [k, g] : rgroups) {
+    if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
+  }
+  std::sort(keys.begin(), keys.end(), [](const Record* a, const Record* b) {
+    return RecordLess(*a, *b);
+  });
+  for (const Record* key : keys) {
+    auto lit = lgroups.find(*key);
+    auto rit = rgroups.find(*key);
+    node.cogroup_fn(*key, lit != lgroups.end() ? lit->second : kEmptyGroup,
+                    rit != rgroups.end() ? rit->second : kEmptyGroup, out);
+  }
+}
+
+/// Distinct of one partition: a flat slot map keyed on the whole record,
+/// whose emitted records double as the dedup table (first occurrence
+/// wins).
+void DistinctPartition(const std::vector<Record>& rows,
+                       std::vector<Record>* out) {
+  FlatSlotMap slots(rows.size());
+  for (const Record& r : rows) {
+    bool inserted = false;
+    slots.FindOrInsert(
+        HashRecord(r), [&](int32_t s) { return (*out)[s] == r; }, &inserted);
+    if (inserted) out->push_back(r);
+  }
+}
+
+/// Cogroup of one partition whose sides are both freshly shuffled.
+void CoGroupPartition(const PlanNode& node, const std::vector<Record>& left,
+                      const std::vector<Record>& right,
+                      std::vector<Record>* out) {
+  CoGroupSweep(node, GroupByKey(left, node.left_key),
+               GroupByKey(right, node.right_key), out);
+}
+
+/// The single-input narrow operators (Map, FlatMap, Filter, Project) of
+/// one partition. `schema` is the batch schema of a batched Map/FlatMap,
+/// null otherwise.
+Status NarrowPartition(const PlanNode& node, const BatchSchema* schema,
+                       const std::vector<Record>& rows,
+                       std::vector<Record>* out) {
+  switch (node.kind) {
+    case OpKind::kMap:
+    case OpKind::kFlatMap:
+      return MapPartition(node, schema, rows, out);
+    case OpKind::kFilter:
+      FilterPartition(node, rows, out);
+      return Status::OK();
+    case OpKind::kProject:
+      return ProjectPartition(node, rows, out);
+    default:
+      return Status::Internal("not a narrow operator: " + node.name);
+  }
 }
 
 /// Resolves the batch schema of `in` for plan node `node_id`: served from
@@ -331,7 +522,7 @@ bool StripedJoinProbe(const FlatKeyIndex& index,
 /// much), else one dataset-wide inference pass. The result is stored back
 /// only when inferred from actual rows — a drained workset (all partitions
 /// empty) must not pin the empty schema for later supersteps. False means
-/// heterogeneous rows; the caller takes the record path.
+/// heterogeneous rows; the caller runs the record fn.
 bool ResolveBatchSchema(ExecCache* cache, int node_id,
                         const PartitionedDataset& in, BatchSchema* schema) {
   if (cache != nullptr) {
@@ -366,8 +557,6 @@ uint64_t MaxPartitionSize(const PartitionedDataset& ds) {
   }
   return m;
 }
-
-const std::vector<Record> kEmptyGroup;
 
 /// Reusable "prefix<i>" formatter for per-partition span arg keys: one
 /// buffer per operator instead of two temporary strings per partition.
@@ -464,17 +653,6 @@ void Executor::ObserveBatchRows(const PartitionedDataset& ds) const {
   }
 }
 
-void Executor::ObserveProbeChains(const FlatKeyIndex& index) const {
-  if (options_.metrics == nullptr) return;
-  runtime::Histogram local;
-  for (int32_t head : index.heads()) {
-    int64_t chain = 0;
-    for (int32_t row = head; row >= 0; row = index.Next(row)) ++chain;
-    local.Observe(chain);
-  }
-  options_.metrics->Merge(runtime::metric::kHistProbeChain, local);
-}
-
 void Executor::ChargeCompute(
     const std::vector<uint64_t>& per_partition) const {
   if (options_.clock == nullptr || options_.costs == nullptr) return;
@@ -560,65 +738,47 @@ PartitionedDataset Executor::ShuffleImpl(Input&& input, const KeyColumns& key,
             const int p = base + i;
             auto& boxes = outbox[i];
             boxes.resize(n);
-            if (options_.use_columnar) {
-              // Batch scatter (§12): resolve the whole key column to
-              // target partitions in one pass, size every outbox exactly,
-              // then move — no per-record push_back growth. Record order
-              // within each outbox is unchanged, so the result is
-              // byte-identical to the single-pass path.
-              auto& src = input.partition(p);
-              std::vector<int32_t> target(src.size());
-              std::vector<size_t> counts(n, 0);
-              // Single-int64-key shuffles (every hot channel) resolve
-              // their targets from one kernel hash stripe. PartitionOf is
-              // HashKey % n and the kernel computes exactly that hash for
-              // this shape, so the targets are identical.
-              std::vector<int64_t> key64;
-              if (ExtractKey64(src, key, &key64)) {
-                std::vector<uint64_t> hashes(src.size());
-                simd::ActiveKernels().hash_key64(key64.data(), src.size(),
-                                                 hashes.data());
-                for (size_t r = 0; r < src.size(); ++r) {
-                  const int t = static_cast<int>(hashes[r] %
-                                                 static_cast<uint64_t>(n));
-                  target[r] = t;
-                  ++counts[t];
-                  if (t != p) ++moved[p];
-                }
-              } else {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  const int t =
-                      PartitionedDataset::PartitionOf(src[r], key, n);
-                  target[r] = t;
-                  ++counts[t];
-                  if (t != p) ++moved[p];
-                }
+            // Batch scatter (§12): resolve the whole key column to target
+            // partitions in one pass, size every outbox exactly, then move
+            // — no per-record push_back growth. Record order within each
+            // outbox is source order, so the result is byte-identical to a
+            // serial single-pass shuffle.
+            auto& src = input.partition(p);
+            std::vector<int32_t> target(src.size());
+            std::vector<size_t> counts(n, 0);
+            // Single-int64-key shuffles (every hot channel) resolve their
+            // targets from one kernel hash stripe. PartitionOf is HashKey % n
+            // and the kernel computes exactly that hash for this shape, so
+            // the targets are identical.
+            std::vector<int64_t> key64;
+            if (ExtractKey64(src, key, &key64)) {
+              std::vector<uint64_t> hashes(src.size());
+              simd::ActiveKernels().hash_key64(key64.data(), src.size(),
+                                               hashes.data());
+              for (size_t r = 0; r < src.size(); ++r) {
+                const int t =
+                    static_cast<int>(hashes[r] % static_cast<uint64_t>(n));
+                target[r] = t;
+                ++counts[t];
+                if (t != p) ++moved[p];
               }
-              for (int t = 0; t < n; ++t) boxes[t].reserve(counts[t]);
-              if constexpr (kMove) {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  boxes[target[r]].push_back(std::move(src[r]));
-                }
-                input.ReleasePartition(p);
-              } else {
-                for (size_t r = 0; r < src.size(); ++r) {
-                  boxes[target[r]].push_back(src[r]);
-                }
+            } else {
+              for (size_t r = 0; r < src.size(); ++r) {
+                const int t = PartitionedDataset::PartitionOf(src[r], key, n);
+                target[r] = t;
+                ++counts[t];
+                if (t != p) ++moved[p];
               }
-              return;
             }
+            for (int t = 0; t < n; ++t) boxes[t].reserve(counts[t]);
             if constexpr (kMove) {
-              for (Record& r : input.partition(p)) {
-                int target = PartitionedDataset::PartitionOf(r, key, n);
-                if (target != p) ++moved[p];
-                boxes[target].push_back(std::move(r));
+              for (size_t r = 0; r < src.size(); ++r) {
+                boxes[target[r]].push_back(std::move(src[r]));
               }
               input.ReleasePartition(p);
             } else {
-              for (const Record& r : input.partition(p)) {
-                int target = PartitionedDataset::PartitionOf(r, key, n);
-                if (target != p) ++moved[p];
-                boxes[target].push_back(r);
+              for (size_t r = 0; r < src.size(); ++r) {
+                boxes[target[r]].push_back(src[r]);
               }
             }
           },
@@ -854,121 +1014,28 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           break;
         }
 
-        case OpKind::kMap: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          // Batched UDF boundary (DESIGN.md §15): when the node carries a
-          // batch impl and the input is schema-homogeneous, each partition
-          // crosses the boundary once as a ColumnarBatch instead of once
-          // per record. The record fn stays the semantic reference — the
-          // batch impl must match it row for row.
-          BatchSchema schema;
-          const bool has_batch = node.batch_map_fn != nullptr;
-          const bool batched =
-              has_batch && options_.use_columnar &&
-              ResolveBatchSchema(cache, node.id, in, &schema);
-          if (has_batch) {
-            batched ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          }
-          if (batched) ObserveBatchRows(in);
-          reset_status();
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            const std::vector<Record>& rows = in.partition(p);
-            if (batched) {
-              if (rows.empty()) return;
-              ColumnarBatch batch =
-                  ColumnarBatch::FromRecordsUnchecked(rows, schema);
-              ColumnarBatch result;
-              node.batch_map_fn(batch, &result);
-              if (result.num_rows() != rows.size()) {
-                part_status[p] = Status::Internal(
-                    "Map '" + node.name + "': batch impl produced " +
-                    std::to_string(result.num_rows()) + " rows from " +
-                    std::to_string(rows.size()));
-                return;
-              }
-              out.partition(p) = result.ToRecords();
-              return;
-            }
-            out.partition(p).reserve(rows.size());
-            for (const Record& r : rows) {
-              out.partition(p).push_back(node.map_fn(r));
-            }
-          });
-          FLINKLESS_RETURN_NOT_OK(first_error());
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kFlatMap: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          BatchSchema schema;
-          const bool has_batch = node.batch_map_fn != nullptr;
-          const bool batched =
-              has_batch && options_.use_columnar &&
-              ResolveBatchSchema(cache, node.id, in, &schema);
-          if (has_batch) {
-            batched ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          }
-          if (batched) ObserveBatchRows(in);
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            const std::vector<Record>& rows = in.partition(p);
-            if (batched) {
-              if (rows.empty()) return;
-              ColumnarBatch batch =
-                  ColumnarBatch::FromRecordsUnchecked(rows, schema);
-              ColumnarBatch result;
-              node.batch_map_fn(batch, &result);
-              out.partition(p) = result.ToRecords();
-              return;
-            }
-            for (const Record& r : rows) {
-              node.flat_map_fn(r, &out.partition(p));
-            }
-          });
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
-        case OpKind::kFilter: {
-          const PartitionedDataset& in = input_of(node.inputs[0]);
-          PartitionedDataset out(n);
-          ForEachPartition(op_span, &in, n, [&](int p) {
-            for (const Record& r : in.partition(p)) {
-              if (node.filter_fn(r)) out.partition(p).push_back(r);
-            }
-          });
-          local_stats.records_processed += in.NumRecords();
-          ChargeCompute(in);
-          push_owned(std::move(out));
-          break;
-        }
-
+        case OpKind::kMap:
+        case OpKind::kFlatMap:
+        case OpKind::kFilter:
         case OpKind::kProject: {
           const PartitionedDataset& in = input_of(node.inputs[0]);
+          // Batched UDF boundary (DESIGN.md §15): a Map/FlatMap with a
+          // batch impl over a schema-homogeneous input crosses it once per
+          // partition; otherwise the record fn runs per record.
+          BatchSchema schema;
+          const bool has_batch = node.batch_map_fn != nullptr;
+          const bool batched =
+              has_batch && ResolveBatchSchema(cache, node.id, in, &schema);
+          if (has_batch) {
+            batched ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          }
+          if (batched) ObserveBatchRows(in);
           PartitionedDataset out(n);
           reset_status();
           ForEachPartition(op_span, &in, n, [&](int p) {
-            for (const Record& r : in.partition(p)) {
-              Record projected;
-              projected.reserve(node.project_columns.size());
-              for (int col : node.project_columns) {
-                if (col < 0 || static_cast<size_t>(col) >= r.size()) {
-                  part_status[p] = Status::OutOfRange(
-                      "Project '" + node.name + "': column " +
-                      std::to_string(col) + " out of range for record " +
-                      RecordToString(r));
-                  return;
-                }
-                projected.push_back(r[col]);
-              }
-              out.partition(p).push_back(std::move(projected));
-            }
+            part_status[p] =
+                NarrowPartition(node, batched ? &schema : nullptr,
+                                in.partition(p), &out.partition(p));
           });
           FLINKLESS_RETURN_NOT_OK(first_error());
           local_stats.records_processed += in.NumRecords();
@@ -978,46 +1045,18 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kReduceByKey: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          ++local_stats.batch_ops;
           const PartitionedDataset* in = &input_of(node.inputs[0]);
           PartitionedDataset combined;
           if (node.pre_combine) {
             // Local pre-aggregation before the shuffle: fewer messages.
             combined = PartitionedDataset(in->num_partitions());
-            if (batch) ObserveBatchRows(*in);
+            ObserveBatchRows(*in);
             reset_status();
             ForEachPartition(op_span, in, in->num_partitions(), [&](int p) {
-              if (batch) {
-                if (node.reduce_kind != ReduceKind::kNone &&
-                    FlatReduceTypedPartition(
-                        in->partition(p), node.left_key, node.reduce_kind,
-                        node.reduce_value_col, &combined.partition(p))) {
-                  return;
-                }
-                part_status[p] = FlatReducePartition(
-                    in->partition(p), node.left_key, node.combine_fn,
-                    /*validate=*/false, node.name, &combined.partition(p));
-                return;
-              }
-              std::unordered_map<Record, Record, RecordHash> acc;
-              acc.reserve(in->partition(p).size());
-              for (const Record& r : in->partition(p)) {
-                Record k = ExtractKey(r, node.left_key);
-                auto [it, inserted] = acc.try_emplace(std::move(k), r);
-                if (!inserted) it->second = node.combine_fn(it->second, r);
-              }
-              std::vector<const Record*> keys;
-              keys.reserve(acc.size());
-              for (const auto& [k, v] : acc) keys.push_back(&k);
-              std::sort(keys.begin(), keys.end(),
-                        [](const Record* a, const Record* b) {
-                          return RecordLess(*a, *b);
-                        });
-              combined.partition(p).reserve(keys.size());
-              for (const Record* k : keys) {
-                combined.partition(p).push_back(std::move(acc.at(*k)));
-              }
+              part_status[p] =
+                  ReducePartition(node, in->partition(p), /*validate=*/false,
+                                  &combined.partition(p));
             });
             FLINKLESS_RETURN_NOT_OK(first_error());
             local_stats.records_processed += in->NumRecords();
@@ -1030,50 +1069,13 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                   : Shuffle(*in, node.left_key, &local_stats);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
+          ObserveBatchRows(shuffled);
           PartitionedDataset out(n);
           reset_status();
           ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              if (node.reduce_kind != ReduceKind::kNone &&
-                  FlatReduceTypedPartition(
-                      shuffled.partition(p), node.left_key, node.reduce_kind,
-                      node.reduce_value_col, &out.partition(p))) {
-                return;
-              }
-              part_status[p] = FlatReducePartition(
-                  shuffled.partition(p), node.left_key, node.combine_fn,
-                  /*validate=*/true, node.name, &out.partition(p));
-              return;
-            }
-            std::unordered_map<Record, Record, RecordHash> acc;
-            acc.reserve(shuffled.partition(p).size());
-            for (const Record& r : shuffled.partition(p)) {
-              Record k = ExtractKey(r, node.left_key);
-              auto [it, inserted] = acc.try_emplace(std::move(k), r);
-              if (!inserted) {
-                Record folded = node.combine_fn(it->second, r);
-                if (!KeysEqual(folded, node.left_key, r, node.left_key)) {
-                  part_status[p] = Status::Internal(
-                      "ReduceByKey '" + node.name +
-                      "': combiner changed the key (got " +
-                      RecordToString(folded) + ")");
-                  return;
-                }
-                it->second = std::move(folded);
-              }
-            }
-            std::vector<const Record*> keys;
-            keys.reserve(acc.size());
-            for (const auto& [k, v] : acc) keys.push_back(&k);
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            out.partition(p).reserve(keys.size());
-            for (const Record* k : keys) {
-              out.partition(p).push_back(std::move(acc.at(*k)));
-            }
+            part_status[p] =
+                ReducePartition(node, shuffled.partition(p), /*validate=*/true,
+                                &out.partition(p));
           });
           FLINKLESS_RETURN_NOT_OK(first_error());
           local_stats.records_processed += shuffled.NumRecords();
@@ -1083,49 +1085,16 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kGroupReduceByKey: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
-          const PartitionedDataset& in = input_of(node.inputs[0]);
+          ++local_stats.batch_ops;
           PartitionedDataset shuffled =
-              Shuffle(in, node.left_key, &local_stats);
+              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
+          ObserveBatchRows(shuffled);
           PartitionedDataset out(n);
           ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              // Batch path: one flat index instead of a map of materialized
-              // groups. Chains preserve arrival order, so each group's
-              // records reach the UDF in the same order the GroupMap held
-              // them; sorting first-arrival rows with KeyLess emits groups
-              // in the same key order as SortedKeys.
-              const std::vector<Record>& rows = shuffled.partition(p);
-              FlatKeyIndex index;
-              index.Build(rows, node.left_key);
-              std::vector<int32_t> heads = index.heads();
-              std::sort(heads.begin(), heads.end(),
-                        [&](int32_t a, int32_t b) {
-                          return KeyLess(rows[a], rows[b], node.left_key);
-                        });
-              out.partition(p).reserve(heads.size());
-              std::vector<Record> group;
-              for (int32_t head : heads) {
-                group.clear();
-                for (int32_t r = head; r >= 0; r = index.Next(r)) {
-                  group.push_back(rows[r]);
-                }
-                out.partition(p).push_back(node.group_reduce_fn(
-                    ExtractKey(rows[head], node.left_key), group));
-              }
-              return;
-            }
-            GroupMap groups = GroupByKey(shuffled.partition(p), node.left_key);
-            std::vector<const Record*> keys = SortedKeys(groups);
-            out.partition(p).reserve(keys.size());
-            for (const Record* key : keys) {
-              out.partition(p).push_back(
-                  node.group_reduce_fn(*key, groups.at(*key)));
-            }
+            GroupReducePartition(node, shuffled.partition(p),
+                                 &out.partition(p));
           });
           local_stats.records_processed += shuffled.NumRecords();
           ChargeCompute(shuffled);
@@ -1134,16 +1103,15 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kJoin: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          ++local_stats.batch_ops;
           const bool build_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[0]];
           const bool probe_static = cache != nullptr && !invariant[node.id] &&
                                     invariant[node.inputs[1]];
           if (build_static) {
             // Loop-invariant build side: shuffle + index it once; later
-            // supersteps probe the prebuilt per-partition hash index,
-            // whose entries reference the cached records directly.
+            // supersteps probe the prebuilt per-partition flat index, whose
+            // rows are the cached records themselves.
             bool reloaded = false;
             FLINKLESS_ASSIGN_OR_RETURN(
                 ExecCache::Entry* e,
@@ -1159,28 +1127,13 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                   std::make_shared<PartitionedDataset>(std::move(shuffled));
               entry.data = data;
               entry.index_key = node.left_key;
-              if (batch) {
-                // Batch path: flat open-addressing index over the key
-                // column — no per-record key materialization or map nodes.
-                entry.flat_index.resize(n);
-                ForEachPartition(n, [&](int p) {
-                  entry.flat_index[p].Build(data->partition(p),
-                                            node.left_key);
-                });
-                ObserveBatchRows(*data);
-                for (int p = 0; p < n; ++p) {
-                  ObserveProbeChains(entry.flat_index[p]);
-                }
-              } else {
-                entry.join_index.resize(n);
-                ForEachPartition(n, [&](int p) {
-                  JoinIndex& index = entry.join_index[p];
-                  const std::vector<Record>& part = data->partition(p);
-                  index.reserve(part.size());
-                  for (const Record& r : part) {
-                    index[ExtractKey(r, node.left_key)].push_back(&r);
-                  }
-                });
+              entry.flat_index.resize(n);
+              ForEachPartition(n, [&](int p) {
+                entry.flat_index[p].Build(data->partition(p), node.left_key);
+              });
+              ObserveBatchRows(*data);
+              for (int p = 0; p < n; ++p) {
+                ObserveProbeChains(options_.metrics, entry.flat_index[p]);
               }
               e = cache->Find(node.id, ExecCache::Role::kBuild);
               FLINKLESS_RETURN_NOT_OK(cache->OnEntryFilled(
@@ -1201,33 +1154,9 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                 log_shuffled(node, node.inputs[1], "r", right));
             PartitionedDataset out(n);
             ForEachPartition(op_span, &right, n, [&](int p) {
-              // Probe whichever index kind this entry carries (a cache can
-              // outlive an executor, so the entry's mode wins over ours).
-              if (!e->flat_index.empty()) {
-                const FlatKeyIndex& index = e->flat_index[p];
-                const std::vector<Record>& build = e->data->partition(p);
-                if (StripedJoinProbe(index, build, right.partition(p),
-                                     node.right_key, node.join_fn,
-                                     &out.partition(p))) {
-                  return;
-                }
-                for (const Record& r : right.partition(p)) {
-                  int32_t row = index.FindFirst(
-                      r, node.right_key, HashKey(r, node.right_key));
-                  for (; row >= 0; row = index.Next(row)) {
-                    out.partition(p).push_back(node.join_fn(build[row], r));
-                  }
-                }
-                return;
-              }
-              const JoinIndex& index = e->join_index[p];
-              for (const Record& r : right.partition(p)) {
-                auto it = index.find(ExtractKey(r, node.right_key));
-                if (it == index.end()) continue;
-                for (const Record* l : it->second) {
-                  out.partition(p).push_back(node.join_fn(*l, r));
-                }
-              }
+              JoinProbe(e->flat_index[p], e->data->partition(p),
+                        right.partition(p), node.right_key, node.join_fn,
+                        &out.partition(p));
             });
             if (hit) {
               // Only the probe side is processed this superstep; the
@@ -1276,36 +1205,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                                               node.left_key, &local_stats);
             FLINKLESS_RETURN_NOT_OK(
                 log_shuffled(node, node.inputs[0], "l", left));
-            if (batch) ObserveBatchRows(left);
+            ObserveBatchRows(left);
             PartitionedDataset out(n);
             ForEachPartition(op_span, &left, n, [&](int p) {
-              if (batch) {
-                const std::vector<Record>& rows = left.partition(p);
-                FlatKeyIndex index;
-                index.Build(rows, node.left_key);
-                ObserveProbeChains(index);
-                if (StripedJoinProbe(index, rows, right.partition(p),
-                                     node.right_key, node.join_fn,
-                                     &out.partition(p))) {
-                  return;
-                }
-                for (const Record& r : right.partition(p)) {
-                  int32_t row = index.FindFirst(
-                      r, node.right_key, HashKey(r, node.right_key));
-                  for (; row >= 0; row = index.Next(row)) {
-                    out.partition(p).push_back(node.join_fn(rows[row], r));
-                  }
-                }
-                return;
-              }
-              GroupMap build = GroupByKey(left.partition(p), node.left_key);
-              for (const Record& r : right.partition(p)) {
-                auto it = build.find(ExtractKey(r, node.right_key));
-                if (it == build.end()) continue;
-                for (const Record& l : it->second) {
-                  out.partition(p).push_back(node.join_fn(l, r));
-                }
-              }
+              JoinPartition(node, left.partition(p), right.partition(p),
+                            options_.metrics, &out.partition(p));
             });
             if (hit) {
               local_stats.records_processed += left.NumRecords();
@@ -1326,36 +1230,11 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               log_shuffled(node, node.inputs[0], "l", left));
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[1], "r", right));
-          if (batch) ObserveBatchRows(left);
+          ObserveBatchRows(left);
           PartitionedDataset out(n);
           ForEachPartition(op_span, &left, n, [&](int p) {
-            if (batch) {
-              const std::vector<Record>& rows = left.partition(p);
-              FlatKeyIndex index;
-              index.Build(rows, node.left_key);
-              ObserveProbeChains(index);
-              if (StripedJoinProbe(index, rows, right.partition(p),
-                                   node.right_key, node.join_fn,
-                                   &out.partition(p))) {
-                return;
-              }
-              for (const Record& r : right.partition(p)) {
-                int32_t row = index.FindFirst(
-                    r, node.right_key, HashKey(r, node.right_key));
-                for (; row >= 0; row = index.Next(row)) {
-                  out.partition(p).push_back(node.join_fn(rows[row], r));
-                }
-              }
-              return;
-            }
-            GroupMap build = GroupByKey(left.partition(p), node.left_key);
-            for (const Record& r : right.partition(p)) {
-              auto it = build.find(ExtractKey(r, node.right_key));
-              if (it == build.end()) continue;
-              for (const Record& l : it->second) {
-                out.partition(p).push_back(node.join_fn(l, r));
-              }
-            }
+            JoinPartition(node, left.partition(p), right.partition(p),
+                          options_.metrics, &out.partition(p));
           });
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
@@ -1423,29 +1302,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                 node, vol_in, left_static ? "r" : "l", vol));
             PartitionedDataset out(n);
             ForEachPartition(op_span, &vol, n, [&](int p) {
-              GroupMap vgroups = GroupByKey(vol.partition(p), vol_key);
-              const GroupMap& lgroups =
-                  left_static ? e->groups[p] : vgroups;
-              const GroupMap& rgroups =
-                  left_static ? vgroups : e->groups[p];
-              std::vector<const Record*> keys;
-              keys.reserve(lgroups.size() + rgroups.size());
-              for (const auto& [k, g] : lgroups) keys.push_back(&k);
-              for (const auto& [k, g] : rgroups) {
-                if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-              }
-              std::sort(keys.begin(), keys.end(),
-                        [](const Record* a, const Record* b) {
-                          return RecordLess(*a, *b);
-                        });
-              for (const Record* key : keys) {
-                auto lit = lgroups.find(*key);
-                auto rit = rgroups.find(*key);
-                node.cogroup_fn(
-                    *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                    rit != rgroups.end() ? rit->second : kEmptyGroup,
-                    &out.partition(p));
-              }
+              CachedGroups vgroups = GroupByKey(vol.partition(p), vol_key);
+              CoGroupSweep(node, left_static ? e->groups[p] : vgroups,
+                           left_static ? vgroups : e->groups[p],
+                           &out.partition(p));
             });
             if (hit) {
               local_stats.records_processed += vol.NumRecords();
@@ -1468,28 +1328,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               log_shuffled(node, node.inputs[1], "r", right));
           PartitionedDataset out(n);
           ForEachPartition(op_span, &left, n, [&](int p) {
-            GroupMap lgroups = GroupByKey(left.partition(p), node.left_key);
-            GroupMap rgroups = GroupByKey(right.partition(p), node.right_key);
-            // Sweep the union of both key sets in RecordLess order, exactly
-            // like the old sorted-map merge.
-            std::vector<const Record*> keys;
-            keys.reserve(lgroups.size() + rgroups.size());
-            for (const auto& [k, g] : lgroups) keys.push_back(&k);
-            for (const auto& [k, g] : rgroups) {
-              if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-            }
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            for (const Record* key : keys) {
-              auto lit = lgroups.find(*key);
-              auto rit = rgroups.find(*key);
-              node.cogroup_fn(
-                  *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                  rit != rgroups.end() ? rit->second : kEmptyGroup,
-                  &out.partition(p));
-            }
+            CoGroupPartition(node, left.partition(p), right.partition(p),
+                             &out.partition(p));
           });
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
@@ -1510,13 +1350,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           ChargeNetwork(broadcast_messages);
           PartitionedDataset out(n);
           ForEachPartition(op_span, &left, n, [&](int p) {
-            out.partition(p).reserve(left.partition(p).size() *
-                                     right_all.size());
-            for (const Record& l : left.partition(p)) {
-              for (const Record& r : right_all) {
-                out.partition(p).push_back(node.join_fn(l, r));
-              }
-            }
+            CrossPartition(node, left.partition(p), right_all,
+                           &out.partition(p));
           });
           local_stats.records_processed +=
               left.NumRecords() + right.NumRecords();
@@ -1534,14 +1369,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           const PartitionedDataset& b = input_of(node.inputs[1]);
           PartitionedDataset out(n);
           ForEachPartition(op_span, &a, n, [&](int p) {
-            out.partition(p).reserve(a.partition(p).size() +
-                                     b.partition(p).size());
-            out.partition(p).insert(out.partition(p).end(),
-                                    a.partition(p).begin(),
-                                    a.partition(p).end());
-            out.partition(p).insert(out.partition(p).end(),
-                                    b.partition(p).begin(),
-                                    b.partition(p).end());
+            UnionPartition(a.partition(p), b.partition(p), &out.partition(p));
           });
           local_stats.records_processed += a.NumRecords() + b.NumRecords();
           ChargeCompute(a, &b);
@@ -1550,35 +1378,15 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         }
 
         case OpKind::kDistinct: {
-          const bool batch = options_.use_columnar;
-          batch ? ++local_stats.batch_ops : ++local_stats.row_fallback_ops;
+          ++local_stats.batch_ops;
           PartitionedDataset shuffled = Shuffle(input_of(node.inputs[0]),
                                                 node.left_key, &local_stats);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
-          if (batch) ObserveBatchRows(shuffled);
+          ObserveBatchRows(shuffled);
           PartitionedDataset out(n);
           ForEachPartition(op_span, &shuffled, n, [&](int p) {
-            if (batch) {
-              // Batch path: flat slot map keyed on the whole record; the
-              // emitted records double as the dedup table (first occurrence
-              // wins in both paths, so output order is identical).
-              std::vector<Record>& dst = out.partition(p);
-              FlatSlotMap slots(shuffled.partition(p).size());
-              for (const Record& r : shuffled.partition(p)) {
-                bool inserted = false;
-                slots.FindOrInsert(
-                    HashRecord(r), [&](int32_t s) { return dst[s] == r; },
-                    &inserted);
-                if (inserted) dst.push_back(r);
-              }
-              return;
-            }
-            std::unordered_set<Record, RecordHash> seen;
-            seen.reserve(shuffled.partition(p).size());
-            for (const Record& r : shuffled.partition(p)) {
-              if (seen.insert(r).second) out.partition(p).push_back(r);
-            }
+            DistinctPartition(shuffled.partition(p), &out.partition(p));
           });
           local_stats.records_processed += shuffled.NumRecords();
           ChargeCompute(shuffled);
@@ -1662,10 +1470,10 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
 //     demands its left side at the node's demand and its right side —
 //     broadcast everywhere during Execute — at kAll.
 //
-//  2. Serial forward pass over the demanded nodes, computing only the
-//     demanded partitions with the record-at-a-time operator bodies
-//     (byte-identical to the batch path by the §12 contract, and
-//     trivially deterministic: no threads, no budget interaction).
+//  2. Serial forward pass over the demanded nodes, running the partition
+//     kernels Execute runs on only the demanded partitions — so a
+//     replayed partition is the bytes Execute produced, and the pass is
+//     trivially deterministic: no threads, no budget interaction.
 //
 // Everything is charged to Charge::kRecovery: logged messages shipped
 // into lost partitions at network rate, recomputed records on the
@@ -1759,6 +1567,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
       options_.clock->Add(runtime::Charge::kRecovery, ns);
     }
   };
+  auto charge_shipped = [&](uint64_t records) {
+    if (charging) {
+      charge_recovery(options_.costs->network_per_record_ns *
+                      static_cast<int64_t>(records));
+    }
+  };
   // Recomputation runs on the demanded partitions' workers in parallel in
   // the simulated cluster: charge the slowest one.
   auto charge_compute_critical = [&](const std::vector<uint64_t>& per_part) {
@@ -1787,50 +1601,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
                     "replay read an input that was never demanded");
     return *slots[id].view;
   };
-  auto set_owned = [&](NodeId id, PartitionedDataset ds) {
-    slots[id].owned = std::move(ds);
-    slots[id].view = &slots[id].owned;
-  };
 
-  // The shuffled input of a shuffle operator: the logged channel for a
-  // variant input (counted as replayed messages; shipping into lost
-  // partitions is charged at network rate), or a serial re-shuffle of the
-  // recomputed invariant input (the static side re-shipped to the fresh
-  // workers — also a recovery charge for records landing in lost
-  // partitions). The serial scatter visits sources in order, so partition
-  // contents are byte-identical to ShuffleImpl's gather. Returned by
-  // value: logged channels live in budget-managed segments, and fetching a
-  // later channel may spill an earlier one, so the demanded partitions are
-  // copied out while the segment is resident.
-  auto shuffled_input = [&](const PlanNode& node, NodeId input,
-                            const char* port, const KeyColumns& key)
-      -> Result<PartitionedDataset> {
-    const std::vector<int> parts = parts_of(demand[node.id]);
-    if (!invariant[input]) {
-      FLINKLESS_ASSIGN_OR_RETURN(
-          const PartitionedDataset* channel,
-          log->Channel(MsglogChannel(node.id, port), options_.tracer));
-      if (channel->num_partitions() != n) {
-        return Status::DataLoss("logged channel '" +
-                                MsglogChannel(node.id, port) +
-                                "' has the wrong partition count");
-      }
-      PartitionedDataset out(n);
-      uint64_t shipped = 0;
-      for (int p : parts) {
-        uint64_t records = channel->partition(p).size();
-        local_stats.messages_replayed += records;
-        replayed_per_part[p] += records;
-        if (is_lost[p]) shipped += records;
-        out.partition(p) = channel->partition(p);
-      }
-      if (charging) {
-        charge_recovery(options_.costs->network_per_record_ns *
-                        static_cast<int64_t>(shipped));
-      }
-      return out;
-    }
-    const PartitionedDataset& in = input_of(input);
+  // Serial re-shuffle of a recomputed invariant dataset (the static side
+  // re-shipped to the fresh workers; records landing in lost partitions
+  // are a recovery charge). Sources are visited in order, so partition
+  // contents are byte-identical to ShuffleImpl's gather.
+  auto scatter = [&](const PartitionedDataset& in, const KeyColumns& key) {
     PartitionedDataset out(n);
     uint64_t shipped = 0;
     for (int p = 0; p < in.num_partitions(); ++p) {
@@ -1840,17 +1616,51 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
         out.partition(target).push_back(r);
       }
     }
-    if (charging) {
-      charge_recovery(options_.costs->network_per_record_ns *
-                      static_cast<int64_t>(shipped));
-    }
+    charge_shipped(shipped);
     return out;
   };
 
+  // The shuffled input of a shuffle operator: the logged channel for a
+  // variant input (counted as replayed messages; shipping into lost
+  // partitions is charged at network rate), or a re-shuffle of the
+  // recomputed invariant input. Returned by value: logged channels live in
+  // budget-managed segments, and fetching a later channel may spill an
+  // earlier one, so the demanded partitions are copied out while the
+  // segment is resident.
+  auto shuffled_input = [&](const PlanNode& node, NodeId input,
+                            const char* port, const KeyColumns& key)
+      -> Result<PartitionedDataset> {
+    if (invariant[input]) return scatter(input_of(input), key);
+    FLINKLESS_ASSIGN_OR_RETURN(
+        const PartitionedDataset* channel,
+        log->Channel(MsglogChannel(node.id, port), options_.tracer));
+    if (channel->num_partitions() != n) {
+      return Status::DataLoss("logged channel '" +
+                              MsglogChannel(node.id, port) +
+                              "' has the wrong partition count");
+    }
+    PartitionedDataset out(n);
+    uint64_t shipped = 0;
+    for (int p : parts_of(demand[node.id])) {
+      uint64_t records = channel->partition(p).size();
+      local_stats.messages_replayed += records;
+      replayed_per_part[p] += records;
+      if (is_lost[p]) shipped += records;
+      out.partition(p) = channel->partition(p);
+    }
+    charge_shipped(shipped);
+    return out;
+  };
+
+  // Every operator case runs the partition kernels Execute runs, on the
+  // demanded partitions in order; `work` is each partition's share of the
+  // recomputation critical path.
   for (int id = 0; id < num_nodes; ++id) {
     if (demand[id] == kNone) continue;
     const PlanNode& node = plan.node(id);
     const std::vector<int> parts = parts_of(demand[id]);
+    PartitionedDataset out(n);
+    std::vector<uint64_t> work(n, 0);
 
     switch (node.kind) {
       case OpKind::kSource: {
@@ -1866,104 +1676,36 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
               " partitions, executor expects " + std::to_string(n));
         }
         slots[id].view = it->second;
-        break;
+        continue;
       }
 
-      case OpKind::kMap: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          out.partition(p).reserve(in.partition(p).size());
-          for (const Record& r : in.partition(p)) {
-            out.partition(p).push_back(node.map_fn(r));
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kFlatMap: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            node.flat_map_fn(r, &out.partition(p));
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kFilter: {
-        const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            if (node.filter_fn(r)) out.partition(p).push_back(r);
-          }
-          work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
+      case OpKind::kMap:
+      case OpKind::kFlatMap:
+      case OpKind::kFilter:
       case OpKind::kProject: {
         const PartitionedDataset& in = input_of(node.inputs[0]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
+        BatchSchema schema;
+        const bool batched =
+            node.batch_map_fn != nullptr &&
+            ResolveBatchSchema(/*cache=*/nullptr, id, in, &schema);
         for (int p : parts) {
-          for (const Record& r : in.partition(p)) {
-            Record projected;
-            projected.reserve(node.project_columns.size());
-            for (int col : node.project_columns) {
-              if (col < 0 || static_cast<size_t>(col) >= r.size()) {
-                return Status::OutOfRange(
-                    "Project '" + node.name + "': column " +
-                    std::to_string(col) + " out of range for record " +
-                    RecordToString(r));
-              }
-              projected.push_back(r[col]);
-            }
-            out.partition(p).push_back(std::move(projected));
-          }
+          FLINKLESS_RETURN_NOT_OK(
+              NarrowPartition(node, batched ? &schema : nullptr,
+                              in.partition(p), &out.partition(p)));
           work[p] = in.partition(p).size();
-          local_stats.records_processed += in.partition(p).size();
+          local_stats.records_processed += work[p];
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
 
       case OpKind::kUnion: {
         const PartitionedDataset& a = input_of(node.inputs[0]);
         const PartitionedDataset& b = input_of(node.inputs[1]);
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
         for (int p : parts) {
-          out.partition(p).reserve(a.partition(p).size() +
-                                   b.partition(p).size());
-          out.partition(p).insert(out.partition(p).end(),
-                                  a.partition(p).begin(),
-                                  a.partition(p).end());
-          out.partition(p).insert(out.partition(p).end(),
-                                  b.partition(p).begin(),
-                                  b.partition(p).end());
+          UnionPartition(a.partition(p), b.partition(p), &out.partition(p));
           work[p] = a.partition(p).size() + b.partition(p).size();
           local_stats.records_processed += work[p];
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
 
@@ -1976,131 +1718,46 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
           const PartitionedDataset& in = input_of(node.inputs[0]);
           PartitionedDataset combined(in.num_partitions());
           for (int p = 0; p < in.num_partitions(); ++p) {
-            std::unordered_map<Record, Record, RecordHash> acc;
-            acc.reserve(in.partition(p).size());
-            for (const Record& r : in.partition(p)) {
-              Record k = ExtractKey(r, node.left_key);
-              auto [it, inserted] = acc.try_emplace(std::move(k), r);
-              if (!inserted) it->second = node.combine_fn(it->second, r);
-            }
-            std::vector<const Record*> keys;
-            keys.reserve(acc.size());
-            for (const auto& [k, v] : acc) keys.push_back(&k);
-            std::sort(keys.begin(), keys.end(),
-                      [](const Record* a, const Record* b) {
-                        return RecordLess(*a, *b);
-                      });
-            combined.partition(p).reserve(keys.size());
-            for (const Record* k : keys) {
-              combined.partition(p).push_back(std::move(acc.at(*k)));
-            }
+            FLINKLESS_RETURN_NOT_OK(
+                ReducePartition(node, in.partition(p), /*validate=*/false,
+                                &combined.partition(p)));
             local_stats.records_processed += in.partition(p).size();
           }
-          PartitionedDataset scattered(n);
-          uint64_t shipped = 0;
-          for (int p = 0; p < combined.num_partitions(); ++p) {
-            for (Record& r : combined.partition(p)) {
-              int target =
-                  PartitionedDataset::PartitionOf(r, node.left_key, n);
-              if (is_lost[target]) ++shipped;
-              scattered.partition(target).push_back(std::move(r));
-            }
-          }
-          if (charging) {
-            charge_recovery(options_.costs->network_per_record_ns *
-                            static_cast<int64_t>(shipped));
-          }
-          shuffled = std::move(scattered);
+          shuffled = scatter(combined, node.left_key);
         } else {
           FLINKLESS_ASSIGN_OR_RETURN(
               shuffled,
               shuffled_input(node, node.inputs[0], "in", node.left_key));
         }
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
         for (int p : parts) {
-          std::unordered_map<Record, Record, RecordHash> acc;
-          acc.reserve(shuffled.partition(p).size());
-          for (const Record& r : shuffled.partition(p)) {
-            Record k = ExtractKey(r, node.left_key);
-            auto [it, inserted] = acc.try_emplace(std::move(k), r);
-            if (!inserted) {
-              Record folded = node.combine_fn(it->second, r);
-              if (!KeysEqual(folded, node.left_key, r, node.left_key)) {
-                return Status::Internal("ReduceByKey '" + node.name +
-                                        "': combiner changed the key (got " +
-                                        RecordToString(folded) + ")");
-              }
-              it->second = std::move(folded);
-            }
-          }
-          std::vector<const Record*> keys;
-          keys.reserve(acc.size());
-          for (const auto& [k, v] : acc) keys.push_back(&k);
-          std::sort(keys.begin(), keys.end(),
-                    [](const Record* a, const Record* b) {
-                      return RecordLess(*a, *b);
-                    });
-          out.partition(p).reserve(keys.size());
-          for (const Record* k : keys) {
-            out.partition(p).push_back(std::move(acc.at(*k)));
-          }
+          FLINKLESS_RETURN_NOT_OK(
+              ReducePartition(node, shuffled.partition(p), /*validate=*/true,
+                              &out.partition(p)));
           work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
+          local_stats.records_processed += work[p];
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
 
-      case OpKind::kGroupReduceByKey: {
+      case OpKind::kGroupReduceByKey:
+      case OpKind::kDistinct: {
         FLINKLESS_ASSIGN_OR_RETURN(
             PartitionedDataset shuffled,
             shuffled_input(node, node.inputs[0], "in", node.left_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
         for (int p : parts) {
-          GroupMap groups = GroupByKey(shuffled.partition(p), node.left_key);
-          std::vector<const Record*> keys = SortedKeys(groups);
-          out.partition(p).reserve(keys.size());
-          for (const Record* key : keys) {
-            out.partition(p).push_back(
-                node.group_reduce_fn(*key, groups.at(*key)));
+          if (node.kind == OpKind::kDistinct) {
+            DistinctPartition(shuffled.partition(p), &out.partition(p));
+          } else {
+            GroupReducePartition(node, shuffled.partition(p),
+                                 &out.partition(p));
           }
           work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kJoin: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset left,
-            shuffled_input(node, node.inputs[0], "l", node.left_key));
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset right,
-            shuffled_input(node, node.inputs[1], "r", node.right_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          GroupMap build = GroupByKey(left.partition(p), node.left_key);
-          for (const Record& r : right.partition(p)) {
-            auto it = build.find(ExtractKey(r, node.right_key));
-            if (it == build.end()) continue;
-            for (const Record& l : it->second) {
-              out.partition(p).push_back(node.join_fn(l, r));
-            }
-          }
-          work[p] = left.partition(p).size() + right.partition(p).size();
           local_stats.records_processed += work[p];
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
 
+      case OpKind::kJoin:
       case OpKind::kCoGroup: {
         FLINKLESS_ASSIGN_OR_RETURN(
             PartitionedDataset left,
@@ -2108,91 +1765,43 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
         FLINKLESS_ASSIGN_OR_RETURN(
             PartitionedDataset right,
             shuffled_input(node, node.inputs[1], "r", node.right_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
         for (int p : parts) {
-          GroupMap lgroups = GroupByKey(left.partition(p), node.left_key);
-          GroupMap rgroups = GroupByKey(right.partition(p), node.right_key);
-          std::vector<const Record*> keys;
-          keys.reserve(lgroups.size() + rgroups.size());
-          for (const auto& [k, g] : lgroups) keys.push_back(&k);
-          for (const auto& [k, g] : rgroups) {
-            if (lgroups.find(k) == lgroups.end()) keys.push_back(&k);
-          }
-          std::sort(keys.begin(), keys.end(),
-                    [](const Record* a, const Record* b) {
-                      return RecordLess(*a, *b);
-                    });
-          for (const Record* key : keys) {
-            auto lit = lgroups.find(*key);
-            auto rit = rgroups.find(*key);
-            node.cogroup_fn(
-                *key, lit != lgroups.end() ? lit->second : kEmptyGroup,
-                rit != rgroups.end() ? rit->second : kEmptyGroup,
-                &out.partition(p));
+          if (node.kind == OpKind::kJoin) {
+            JoinPartition(node, left.partition(p), right.partition(p),
+                          /*metrics=*/nullptr, &out.partition(p));
+          } else {
+            CoGroupPartition(node, left.partition(p), right.partition(p),
+                             &out.partition(p));
           }
           work[p] = left.partition(p).size() + right.partition(p).size();
           local_stats.records_processed += work[p];
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
 
       case OpKind::kCross: {
         const PartitionedDataset& left = input_of(node.inputs[0]);
-        const PartitionedDataset& right = input_of(node.inputs[1]);
-        std::vector<Record> right_all = right.Collect();
+        std::vector<Record> right_all = input_of(node.inputs[1]).Collect();
         // Execute broadcast the right side everywhere; recovery only
         // re-ships it to the partitions being rebuilt.
         uint64_t lost_targets = 0;
         for (int p : parts) {
           if (is_lost[p]) ++lost_targets;
         }
-        if (charging) {
-          charge_recovery(options_.costs->network_per_record_ns *
-                          static_cast<int64_t>(right_all.size() *
-                                               lost_targets));
-        }
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
+        charge_shipped(right_all.size() * lost_targets);
         for (int p : parts) {
-          out.partition(p).reserve(left.partition(p).size() *
-                                   right_all.size());
-          for (const Record& l : left.partition(p)) {
-            for (const Record& r : right_all) {
-              out.partition(p).push_back(node.join_fn(l, r));
-            }
-          }
+          CrossPartition(node, left.partition(p), right_all,
+                         &out.partition(p));
           work[p] = left.partition(p).size() * right_all.size();
           local_stats.records_processed +=
               left.partition(p).size() + right_all.size();
         }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
-        break;
-      }
-
-      case OpKind::kDistinct: {
-        FLINKLESS_ASSIGN_OR_RETURN(
-            PartitionedDataset shuffled,
-            shuffled_input(node, node.inputs[0], "in", node.left_key));
-        PartitionedDataset out(n);
-        std::vector<uint64_t> work(n, 0);
-        for (int p : parts) {
-          std::unordered_set<Record, RecordHash> seen;
-          seen.reserve(shuffled.partition(p).size());
-          for (const Record& r : shuffled.partition(p)) {
-            if (seen.insert(r).second) out.partition(p).push_back(r);
-          }
-          work[p] = shuffled.partition(p).size();
-          local_stats.records_processed += shuffled.partition(p).size();
-        }
-        charge_compute_critical(work);
-        set_owned(id, std::move(out));
         break;
       }
     }
+    charge_compute_critical(work);
+    slots[id].owned = std::move(out);
+    slots[id].view = &slots[id].owned;
   }
 
   std::map<std::string, PartitionedDataset> outputs;

@@ -29,9 +29,9 @@ using MapFn = std::function<Record(const Record&)>;
 /// Attached via Plan::BatchImpl as an *optional* second implementation next
 /// to the record fn; the executor picks it whenever the partition's rows
 /// are schema-homogeneous. Contract (DESIGN.md §15): it must produce
-/// exactly the records the record fn would, in the same order — replay and
-/// heterogeneous partitions still run the record path, and byte-identity
-/// across paths is the repo invariant. For Map nodes the output must have
+/// exactly the records the record fn would, in the same order —
+/// heterogeneous partitions still run the record fn, and byte-identity
+/// across the two is the repo invariant. For Map nodes the output must have
 /// one row per input row.
 using BatchMapFn = std::function<void(const ColumnarBatch&, ColumnarBatch*)>;
 
@@ -117,8 +117,8 @@ struct PlanNode {
   bool pre_combine = true;
 
   /// kMap/kFlatMap: optional batched implementation (Plan::BatchImpl). The
-  /// record fn below stays required — it is the replay path and the
-  /// fallback for schema-heterogeneous partitions.
+  /// record fn below stays required — it is the semantic reference and
+  /// the fallback for schema-heterogeneous partitions.
   BatchMapFn batch_map_fn;
 
   /// kReduceByKey: declared combiner shape (Plan::DeclareReduce) and the

@@ -45,9 +45,9 @@ bool KeysEqual(const Record& a, const KeyColumns& a_key, const Record& b,
 Record ExtractKey(const Record& record, const KeyColumns& key);
 
 /// RecordLess over key projections without materializing them: equivalent
-/// to RecordLess(ExtractKey(a, key), ExtractKey(b, key)). The batch
-/// execution paths sort group representatives with this, so their emission
-/// order is byte-identical to the record path's sorted ExtractKey sweep.
+/// to RecordLess(ExtractKey(a, key), ExtractKey(b, key)). The executor's
+/// key-sorted emissions (reduce, group-reduce) sort group representatives
+/// with this instead of materializing their keys.
 bool KeyLess(const Record& a, const Record& b, const KeyColumns& key);
 
 /// Total order over records (by value sequence); used to sort collected

@@ -200,7 +200,9 @@ Status JobServer::RunJob(Job* job) {
   env.storage = storage_;
   env.metrics = &job->metrics;
   env.failures = &spec.failures;
-  env.tracer = tracer_;
+  // Driver spans stay on the job's own tracer: jobs take turns mid-span,
+  // so sharing the server's would interleave them (see the constructor).
+  env.tracer = spec.exec.tracer;
   env.metrics_sink = metrics_;
   env.memory = &memory_;
   env.job_id = spec.job_id;

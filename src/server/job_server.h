@@ -157,6 +157,11 @@ class JobServer {
  public:
   /// `clock`, `costs`, and `storage` are the shared runtime services every
   /// job charges against (borrowed). `tracer`/`metrics` may be null.
+  /// `tracer` records only the server's own `server.publish` spans; a job's
+  /// driver, operator and shuffle spans go to its JobSpec::exec.tracer (or
+  /// nowhere when that is null). A tracer's spans must close in reverse
+  /// open order, and concurrent jobs interleave their supersteps, so jobs
+  /// never share the server's tracer — give each job its own.
   JobServer(runtime::SimClock* clock, const runtime::CostModel* costs,
             runtime::StableStorage* storage, ServerOptions options,
             runtime::Tracer* tracer = nullptr,

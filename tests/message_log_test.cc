@@ -2,7 +2,7 @@
 // confined replay built on it (Executor::Replay, DESIGN.md §14): channel
 // round-trips, superstep rotation, budgeted spill/unspill, and — the
 // contract recovery rests on — replayed partitions byte-identical to the
-// partitions a full Execute produces.
+// partitions a full Execute produces, for every operator kind.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "dataflow/columnar.h"
 #include "dataflow/executor.h"
 #include "runtime/memory_manager.h"
 #include "runtime/message_log.h"
@@ -20,6 +21,7 @@ namespace flinkless::runtime {
 namespace {
 
 using dataflow::Bindings;
+using dataflow::ColumnarBatch;
 using dataflow::ExecOptions;
 using dataflow::ExecStats;
 using dataflow::Executor;
@@ -27,6 +29,7 @@ using dataflow::MakeRecord;
 using dataflow::PartitionedDataset;
 using dataflow::Plan;
 using dataflow::Record;
+using dataflow::ValueType;
 
 PartitionedDataset MakeMessages(int parts, int records_per_part,
                                 int64_t salt) {
@@ -137,9 +140,125 @@ Plan BuildStepPlan() {
   return plan;
 }
 
+/// A step plan that reaches every OpKind, with the variant state entering
+/// through a join: Map and FlatMap with and without a batch impl, Filter,
+/// Project, Union, a pre-combined ReduceByKey over the invariant edges
+/// (Replay recomputes and re-shuffles it), GroupReduceByKey, CoGroup,
+/// Distinct, and a Cross against a small invariant side.
+Plan BuildAllOpsPlan() {
+  Plan plan;
+  auto state = plan.Source("state");
+  auto edges = plan.Source("edges");
+  auto consts = plan.Source("consts");
+  auto send = plan.Join(
+      state, edges, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(r[1].AsInt64(), l[1].AsInt64() + 1);
+      },
+      "send");
+  auto scaled = plan.Map(
+      send,
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 2);
+      },
+      "scaled");
+  plan.BatchImpl(scaled, [](const ColumnarBatch& in, ColumnarBatch* out) {
+    out->Reset({ValueType::kInt64, ValueType::kInt64});
+    out->MutableInt64Column(0) = in.Int64Column(0);
+    std::vector<int64_t>& vals = out->MutableInt64Column(1);
+    vals = in.Int64Column(1);
+    for (int64_t& v : vals) v *= 2;
+    out->FinishRows(in.num_rows());
+  });
+  auto shifted = plan.Map(
+      scaled,
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() + 1);
+      },
+      "shifted");
+  auto fanned = plan.FlatMap(
+      shifted,
+      [](const Record& r, std::vector<Record>* out) {
+        out->push_back(r);
+        if (r[1].AsInt64() % 2 == 0) {
+          out->push_back(MakeRecord(r[0].AsInt64(), r[1].AsInt64() + 100));
+        }
+      },
+      "fanned");
+  plan.BatchImpl(fanned, [](const ColumnarBatch& in, ColumnarBatch* out) {
+    out->Reset({ValueType::kInt64, ValueType::kInt64});
+    std::vector<int64_t>& keys = out->MutableInt64Column(0);
+    std::vector<int64_t>& vals = out->MutableInt64Column(1);
+    for (size_t i = 0; i < in.num_rows(); ++i) {
+      const int64_t k = in.Int64Column(0)[i];
+      const int64_t v = in.Int64Column(1)[i];
+      keys.push_back(k);
+      vals.push_back(v);
+      if (v % 2 == 0) {
+        keys.push_back(k);
+        vals.push_back(v + 100);
+      }
+    }
+    out->FinishRows(keys.size());
+  });
+  auto kept = plan.FlatMap(
+      fanned,
+      [](const Record& r, std::vector<Record>* out) {
+        if (r[1].AsInt64() % 3 != 0) out->push_back(r);
+      },
+      "kept");
+  auto filtered = plan.Filter(
+      kept, [](const Record& r) { return r[1].AsInt64() % 5 != 0; },
+      "filtered");
+  auto swapped = plan.Project(filtered, {1, 0}, "swapped");
+  auto out_sum = plan.ReduceByKey(
+      edges, {0},
+      [](const Record& x, const Record& y) {
+        return MakeRecord(x[0].AsInt64(), x[1].AsInt64() + y[1].AsInt64());
+      },
+      "out-sum", /*pre_combine=*/true);
+  auto mixed = plan.Union(filtered, out_sum, "mixed");
+  auto grouped = plan.GroupReduceByKey(
+      mixed, {0},
+      [](const Record& key, const std::vector<Record>& group) {
+        int64_t sum = 0;
+        for (const Record& g : group) sum += g[1].AsInt64();
+        return MakeRecord(key[0].AsInt64(),
+                          static_cast<int64_t>(group.size()), sum);
+      },
+      "grouped");
+  auto cogrouped = plan.CoGroup(
+      grouped, out_sum, {0}, {0},
+      [](const Record& key, const std::vector<Record>& l,
+         const std::vector<Record>& r, std::vector<Record>* out) {
+        out->push_back(MakeRecord(key[0].AsInt64(),
+                                  static_cast<int64_t>(l.size()),
+                                  static_cast<int64_t>(r.size())));
+      },
+      "cogrouped");
+  // (left size, right size) pairs repeat across keys: Distinct has
+  // duplicates to drop.
+  auto sizes = plan.Project(cogrouped, {1, 2}, "sizes");
+  auto uniq = plan.Distinct(sizes, {0}, "uniq");
+  auto crossed = plan.Cross(
+      uniq, consts,
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[0].AsInt64(), l[1].AsInt64() * r[0].AsInt64());
+      },
+      "crossed");
+  plan.Output(swapped, "swapped");
+  plan.Output(mixed, "mixed");
+  plan.Output(grouped, "grouped");
+  plan.Output(cogrouped, "cogrouped");
+  plan.Output(uniq, "uniq");
+  plan.Output(crossed, "crossed");
+  return plan;
+}
+
 struct StepData {
   PartitionedDataset state;
   PartitionedDataset edges;
+  PartitionedDataset consts;
 };
 
 StepData MakeStepData(int parts) {
@@ -153,6 +272,8 @@ StepData MakeStepData(int parts) {
   StepData data;
   data.state = PartitionedDataset::HashPartitioned(state, {0}, parts);
   data.edges = PartitionedDataset::HashPartitioned(edges, {0}, parts);
+  data.consts = PartitionedDataset::HashPartitioned(
+      {MakeRecord(int64_t{2}), MakeRecord(int64_t{3})}, {0}, parts);
   return data;
 }
 
@@ -160,41 +281,46 @@ class ReplayTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReplayTest, ReplayedPartitionsMatchExecuteByteForByte) {
   const int parts = 4;
-  Plan plan = BuildStepPlan();
   StepData data = MakeStepData(parts);
-  Bindings bindings{{"state", &data.state}, {"edges", &data.edges}};
-
-  ExecOptions options;
-  options.num_partitions = parts;
-  options.num_threads = GetParam();
-  MessageLog log({"state"});
-  options.message_log = &log;
-  Executor executor(options);
-
-  ExecStats exec_stats;
-  auto executed = executor.Execute(plan, bindings, &exec_stats);
-  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
-  EXPECT_GT(log.num_channels(), 0u);
-  EXPECT_EQ(exec_stats.messages_replayed, 0u);
-
+  Bindings bindings{{"state", &data.state},
+                    {"edges", &data.edges},
+                    {"consts", &data.consts}};
   // Replay sees only the static bindings, exactly like the drivers after a
   // failure destroyed the volatile state.
-  Bindings statics{{"edges", &data.edges}};
-  for (const std::vector<int>& lost :
-       {std::vector<int>{2}, std::vector<int>{0, 3},
-        std::vector<int>{0, 1, 2, 3}}) {
-    ExecStats replay_stats;
-    auto replayed = executor.Replay(plan, statics, lost, &log, &replay_stats);
-    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-    EXPECT_GT(replay_stats.messages_replayed, 0u);
-    for (const char* output : {"mid", "out"}) {
-      const PartitionedDataset& full = executed->at(output);
-      const PartitionedDataset& confined = replayed->at(output);
-      ASSERT_EQ(confined.num_partitions(), parts);
-      for (int p : lost) {
-        EXPECT_EQ(confined.partition(p), full.partition(p))
-            << output << " partition " << p << " with "
-            << static_cast<int>(lost.size()) << " lost";
+  Bindings statics{{"edges", &data.edges}, {"consts", &data.consts}};
+
+  for (const Plan& plan : {BuildStepPlan(), BuildAllOpsPlan()}) {
+    ExecOptions options;
+    options.num_partitions = parts;
+    options.num_threads = GetParam();
+    MessageLog log({"state"});
+    options.message_log = &log;
+    Executor executor(options);
+
+    ExecStats exec_stats;
+    auto executed = executor.Execute(plan, bindings, &exec_stats);
+    ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+    EXPECT_GT(log.num_channels(), 0u);
+    EXPECT_EQ(exec_stats.messages_replayed, 0u);
+
+    for (const std::vector<int>& lost :
+         {std::vector<int>{2}, std::vector<int>{0, 3},
+          std::vector<int>{0, 1, 2, 3}}) {
+      ExecStats replay_stats;
+      auto replayed =
+          executor.Replay(plan, statics, lost, &log, &replay_stats);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_GT(replay_stats.messages_replayed, 0u);
+      for (const auto& [output, node] : plan.outputs()) {
+        const PartitionedDataset& full = executed->at(output);
+        const PartitionedDataset& confined = replayed->at(output);
+        EXPECT_GT(full.NumRecords(), 0u) << output;
+        ASSERT_EQ(confined.num_partitions(), parts);
+        for (int p : lost) {
+          EXPECT_EQ(confined.partition(p), full.partition(p))
+              << output << " partition " << p << " with "
+              << static_cast<int>(lost.size()) << " lost";
+        }
       }
     }
   }

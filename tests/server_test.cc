@@ -20,6 +20,7 @@
 #include "core/policies.h"
 #include "graph/generators.h"
 #include "graph/reference.h"
+#include "runtime/tracing.h"
 #include "server/job_server.h"
 
 namespace flinkless::server {
@@ -468,6 +469,57 @@ TEST(ServerMemoryTest, PerOwnerBreakdownAttributesResidency) {
   uint64_t total = 0;
   for (const auto& [owner, stats] : breakdown) total += stats.resident_bytes;
   EXPECT_EQ(total, server.memory().resident_bytes());
+}
+
+TEST(ServerTracingTest, ServerTracerWithConcurrentJobsRecordsOnlyPublishes) {
+  // Concurrent jobs take turns mid-span. The server's tracer must see only
+  // its publish spans: a job's driver spans go to that job's own
+  // exec.tracer (job "c") or nowhere (jobs "a" and "b"). If "a" and "b"
+  // shared the server's span stack, it would die with "trace spans must
+  // close in reverse open order".
+  graph::Graph graph = TestGraph();
+  CcJobFixture fixture(graph);
+  runtime::SimClock clock;
+  runtime::CostModel costs;
+  runtime::StableStorage storage(&clock, &costs);
+  runtime::Tracer server_tracer;
+  runtime::Tracer job_tracer;
+  core::OptimisticRecoveryPolicy policy_a(&fixture.fix);
+  core::OptimisticRecoveryPolicy policy_b(&fixture.fix);
+  core::OptimisticRecoveryPolicy policy_c(&fixture.fix);
+
+  ServerOptions options;
+  options.max_concurrent_jobs = 3;
+  JobServer server(&clock, &costs, &storage, options, &server_tracer);
+  ASSERT_TRUE(
+      server.Submit(fixture.Spec("cc-a", "cc-df-a", "2:3", 1, &policy_a)).ok());
+  ASSERT_TRUE(
+      server.Submit(fixture.Spec("cc-b", "cc-df-b", "", 1, &policy_b)).ok());
+  JobSpec spec_c = fixture.Spec("cc-c", "cc-df-c", "", 1, &policy_c);
+  spec_c.exec.tracer = &job_tracer;
+  ASSERT_TRUE(server.Submit(std::move(spec_c)).ok());
+  int pumps = 0;
+  while (server.Pump()) {
+    ASSERT_LT(++pumps, 500) << "server did not drain";
+  }
+
+  const std::vector<int64_t> truth = graph::ReferenceConnectedComponents(graph);
+  for (const char* job : {"cc-a", "cc-b", "cc-c"}) {
+    EXPECT_EQ(LabelsFromServer(server, job, graph.num_vertices()), truth)
+        << job;
+  }
+
+  const auto server_events = server_tracer.Flush().events;
+  ASSERT_FALSE(server_events.empty());
+  for (const runtime::TraceEvent& e : server_events) {
+    EXPECT_EQ(e.category, "server.publish") << e.name;
+  }
+  bool job_has_operator_spans = false;
+  for (const runtime::TraceEvent& e : job_tracer.Flush().events) {
+    EXPECT_NE(e.category, "server.publish");
+    job_has_operator_spans |= e.category == "operator";
+  }
+  EXPECT_TRUE(job_has_operator_spans);
 }
 
 TEST(ServerDeathTest, DuplicateSpillNamespaceDies) {

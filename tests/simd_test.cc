@@ -2,7 +2,7 @@
 // bit-identical to the portable scalar reference on random and adversarial
 // inputs (tails shorter than a vector, INT64_MIN/MAX, wrapping sums, empty
 // windows); the striped index probe and cached-hash rebuild match their
-// record-path equivalents; serde bytes do not depend on the active tier;
+// per-record equivalents; serde bytes do not depend on the active tier;
 // and the executor-level contract — outputs, stats, and simulated time are
 // byte-identical across simd_level × thread count × injected failures, with
 // the batched UDF boundary keeping row_fallback_ops at zero on the two
@@ -344,7 +344,12 @@ Plan BuildTypedReducePlan(ReduceKind kind, bool declare) {
       reduced = plan.ReduceByKey(
           src, {0},
           [](const Record& a, const Record& b) {
-            return MakeRecord(a[0].AsInt64(), a[1].AsInt64() + b[1].AsInt64());
+            // Wrapping sum, as the typed kSumInt64 fold computes it (the
+            // values overflow).
+            return MakeRecord(a[0].AsInt64(),
+                              static_cast<int64_t>(
+                                  static_cast<uint64_t>(a[1].AsInt64()) +
+                                  static_cast<uint64_t>(b[1].AsInt64())));
           },
           "sum64", /*pre_combine=*/true);
       break;
@@ -407,7 +412,6 @@ TEST_P(SimdExecTest, TypedReduceMatchesGenericReduce) {
       ExecOptions options;
       options.num_partitions = 8;
       options.num_threads = threads;
-      options.use_columnar = true;
       options.clock = clock;
       options.costs = costs;
       Executor executor(options);
@@ -433,8 +437,9 @@ TEST_P(SimdExecTest, TypedReduceMatchesGenericReduce) {
   }
 }
 
-TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
-  const int threads = GetParam();
+// Scale-then-keep-evens pipeline; `batched` attaches batch impls to both
+// UDFs, otherwise the same plan runs the record fns.
+Plan BuildBatchMapPlan(bool batched) {
   Plan plan;
   auto src = plan.Source("in");
   auto scaled = plan.Map(
@@ -443,6 +448,14 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
         return MakeRecord(r[0].AsInt64() * 3, r[1].AsDouble() + 1.0);
       },
       "scale");
+  auto expanded = plan.FlatMap(
+      scaled,
+      [](const Record& r, std::vector<Record>* out) {
+        if (r[0].AsInt64() % 2 == 0) out->push_back(r);
+      },
+      "evens");
+  plan.Output(expanded, "out");
+  if (!batched) return plan;
   plan.BatchImpl(scaled, [](const ColumnarBatch& in, ColumnarBatch* out) {
     out->Reset({ValueType::kInt64, ValueType::kDouble});
     std::vector<int64_t>& ids = out->MutableInt64Column(0);
@@ -453,12 +466,6 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
     for (auto& v : vals) v += 1.0;
     out->FinishRows(in.num_rows());
   });
-  auto expanded = plan.FlatMap(
-      scaled,
-      [](const Record& r, std::vector<Record>* out) {
-        if (r[0].AsInt64() % 2 == 0) out->push_back(r);
-      },
-      "evens");
   plan.BatchImpl(expanded, [](const ColumnarBatch& in, ColumnarBatch* out) {
     out->Reset({ValueType::kInt64, ValueType::kDouble});
     std::vector<int64_t>& ids = out->MutableInt64Column(0);
@@ -471,8 +478,11 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
     }
     out->FinishRows(ids.size());
   });
-  plan.Output(expanded, "out");
+  return plan;
+}
 
+TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
+  const int threads = GetParam();
   Rng rng(23);
   std::vector<Record> records;
   for (int64_t i = 0; i < 2000; ++i) {
@@ -481,12 +491,12 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
   }
   auto in = PartitionedDataset::RoundRobin(std::move(records), 8);
 
-  auto run = [&](bool columnar, ExecStats* stats, runtime::SimClock* clock,
+  auto run = [&](bool batched, ExecStats* stats, runtime::SimClock* clock,
                  const runtime::CostModel* costs) {
+    Plan plan = BuildBatchMapPlan(batched);
     ExecOptions options;
     options.num_partitions = 8;
     options.num_threads = threads;
-    options.use_columnar = columnar;
     options.clock = clock;
     options.costs = costs;
     Executor executor(options);
@@ -506,12 +516,12 @@ TEST_P(SimdExecTest, BatchMapImplMatchesRecordImplAndCountsModes) {
   }
   EXPECT_EQ(batch_stats.records_processed, record_stats.records_processed);
   EXPECT_EQ(batch_clock.TotalNs(), record_clock.TotalNs());
-  // Both declared UDFs ran batched — no record-path fallback.
-  EXPECT_GT(batch_stats.batch_ops, 0u);
+  // Both declared UDFs ran batched — no record-fn fallback.
+  EXPECT_EQ(batch_stats.batch_ops, 2u);
   EXPECT_EQ(batch_stats.row_fallback_ops, 0u);
-  // With columnar off, the same plan runs the record impls.
+  // Without batch impls the record fns run, and no mode is counted.
   EXPECT_EQ(record_stats.batch_ops, 0u);
-  EXPECT_GT(record_stats.row_fallback_ops, 0u);
+  EXPECT_EQ(record_stats.row_fallback_ops, 0u);
 }
 
 TEST(SimdExecTest, HeterogeneousInputFallsBackToRecordImpl) {
@@ -533,7 +543,6 @@ TEST(SimdExecTest, HeterogeneousInputFallsBackToRecordImpl) {
 
   ExecOptions options;
   options.num_partitions = 2;
-  options.use_columnar = true;
   Executor executor(options);
   ExecStats stats;
   auto outs = executor.Execute(plan, {{"in", &in}}, &stats);
@@ -566,7 +575,6 @@ TEST(SimdExecTest, BatchMapRowCountMismatchIsAnError) {
 
   ExecOptions options;
   options.num_partitions = 2;
-  options.use_columnar = true;
   Executor executor(options);
   auto outs = executor.Execute(plan, {{"in", &in}}, nullptr);
   EXPECT_FALSE(outs.ok());
@@ -617,7 +625,6 @@ SimdAlgoRun RunAlgosAtTier(int num_threads, simd::SimdLevel tier,
     algos::PageRankOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = true;
     options.simd = tier;
     options.max_iterations = 10;
     algos::FixRanksCompensation fix(directed.num_vertices());
@@ -664,7 +671,6 @@ SimdAlgoRun RunAlgosAtTier(int num_threads, simd::SimdLevel tier,
     algos::ConnectedComponentsOptions options;
     options.num_partitions = 4;
     options.num_threads = num_threads;
-    options.columnar_batch = true;
     options.simd = tier;
     algos::FixComponentsCompensation fix(&undirected);
     core::OptimisticRecoveryPolicy policy(&fix);
@@ -713,9 +719,9 @@ TEST_P(SimdTierSweepTest, AlgosAreByteIdenticalAcrossTiers) {
 
 TEST_P(SimdTierSweepTest, PortedWorkloadsNeverFallBackToRowPath) {
   const auto [threads, failures] = GetParam();
-  // The acceptance bar for the batched UDF boundary: with columnar
-  // execution on, every declared Map/FlatMap on both headline workloads
-  // runs its batch impl — zero row-path fallbacks, at every tier.
+  // The acceptance bar for the batched UDF boundary: every declared
+  // Map/FlatMap on both headline workloads runs its batch impl — zero
+  // record-fn fallbacks, at every tier.
   for (simd::SimdLevel tier : {simd::SimdLevel::kOff, simd::SimdLevel::kMax}) {
     SimdAlgoRun run = RunAlgosAtTier(threads, tier, failures);
     EXPECT_GT(run.batch_ops, 0u);
