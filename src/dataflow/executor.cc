@@ -391,11 +391,29 @@ Status ProjectPartition(const PlanNode& node, const std::vector<Record>& rows,
   return Status::OK();
 }
 
+/// Appends `rows` to `out`. `dead` is either null or `rows` itself, passed
+/// by a caller that owns the partition and reads it no more: its records
+/// move instead of being copied.
+void AppendRows(const std::vector<Record>& rows, std::vector<Record>* dead,
+                std::vector<Record>* out) {
+  if (dead == nullptr) {
+    out->insert(out->end(), rows.begin(), rows.end());
+    return;
+  }
+  out->insert(out->end(), std::make_move_iterator(dead->begin()),
+              std::make_move_iterator(dead->end()));
+  std::vector<Record>().swap(*dead);
+}
+
+/// Union of one partition: a's rows, then b's. `a_dead`/`b_dead` as in
+/// AppendRows.
 void UnionPartition(const std::vector<Record>& a, const std::vector<Record>& b,
-                    std::vector<Record>* out) {
+                    std::vector<Record>* out,
+                    std::vector<Record>* a_dead = nullptr,
+                    std::vector<Record>* b_dead = nullptr) {
   out->reserve(a.size() + b.size());
-  out->insert(out->end(), a.begin(), a.end());
-  out->insert(out->end(), b.begin(), b.end());
+  AppendRows(a, a_dead, out);
+  AppendRows(b, b_dead, out);
 }
 
 /// Cross of one partition's left rows against the whole broadcast right
@@ -919,7 +937,40 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
     s.view = s.keepalive.get();
   };
   auto input_of = [&](int idx) -> const PartitionedDataset& {
+    FLINKLESS_CHECK(slots[idx].view != nullptr,
+                    "execute read an input after its last reader");
     return *slots[idx].view;
+  };
+
+  // Intermediate ownership (DESIGN.md §12): the last node that reads each
+  // node's output. Plan outputs are pinned, read by the caller after every
+  // node. An executor-owned slot is released as soon as its last reader
+  // has run, and that reader may move from it; borrowed sources and cache
+  // entries are never owned, so they never move.
+  const int num_nodes = static_cast<int>(plan.num_nodes());
+  std::vector<int> last_reader(num_nodes, -1);
+  for (const PlanNode& node : plan.nodes()) {
+    for (int idx : node.inputs) last_reader[idx] = node.id;
+  }
+  for (const auto& [name, id] : plan.outputs()) last_reader[id] = num_nodes;
+  // The input on `port` when this is the last read of an owned slot, else
+  // null. Kernels read their ports in order, so a slot bound to two ports
+  // is taken only by the later one.
+  auto take = [&](const PlanNode& node, size_t port) -> PartitionedDataset* {
+    const int idx = node.inputs[port];
+    if (!slots[idx].is_owned || last_reader[idx] != node.id) return nullptr;
+    for (size_t q = port + 1; q < node.inputs.size(); ++q) {
+      if (node.inputs[q] == idx) return nullptr;
+    }
+    return &slots[idx].owned;
+  };
+  // Shuffles the input on `port`, by move when this is its last read.
+  auto shuffle_input = [&](const PlanNode& node, size_t port,
+                           const KeyColumns& key) {
+    PartitionedDataset* dead = take(node, port);
+    return dead != nullptr
+               ? Shuffle(std::move(*dead), key, &local_stats)
+               : Shuffle(input_of(node.inputs[port]), key, &local_stats);
   };
 
   auto count_output = [&](const PlanNode& node,
@@ -1066,7 +1117,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           PartitionedDataset shuffled =
               in == &combined
                   ? Shuffle(std::move(combined), node.left_key, &local_stats)
-                  : Shuffle(*in, node.left_key, &local_stats);
+                  : shuffle_input(node, 0, node.left_key);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
           ObserveBatchRows(shuffled);
@@ -1086,8 +1137,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
 
         case OpKind::kGroupReduceByKey: {
           ++local_stats.batch_ops;
-          PartitionedDataset shuffled =
-              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
+          PartitionedDataset shuffled = shuffle_input(node, 0, node.left_key);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
           ObserveBatchRows(shuffled);
@@ -1148,8 +1198,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                 op_span.AddArg("reloaded", reloaded ? 1 : 0);
               }
             }
-            PartitionedDataset right = Shuffle(input_of(node.inputs[1]),
-                                               node.right_key, &local_stats);
+            PartitionedDataset right =
+                shuffle_input(node, 1, node.right_key);
             FLINKLESS_RETURN_NOT_OK(
                 log_shuffled(node, node.inputs[1], "r", right));
             PartitionedDataset out(n);
@@ -1201,8 +1251,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
               }
             }
             const PartitionedDataset& right = *e->data;
-            PartitionedDataset left = Shuffle(input_of(node.inputs[0]),
-                                              node.left_key, &local_stats);
+            PartitionedDataset left = shuffle_input(node, 0, node.left_key);
             FLINKLESS_RETURN_NOT_OK(
                 log_shuffled(node, node.inputs[0], "l", left));
             ObserveBatchRows(left);
@@ -1222,10 +1271,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
             push_owned(std::move(out));
             break;
           }
-          PartitionedDataset left =
-              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
-          PartitionedDataset right =
-              Shuffle(input_of(node.inputs[1]), node.right_key, &local_stats);
+          PartitionedDataset left = shuffle_input(node, 0, node.left_key);
+          PartitionedDataset right = shuffle_input(node, 1, node.right_key);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "l", left));
           FLINKLESS_RETURN_NOT_OK(
@@ -1293,13 +1340,12 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
                 op_span.AddArg("reloaded", reloaded ? 1 : 0);
               }
             }
-            const int vol_in = left_static ? node.inputs[1] : node.inputs[0];
+            const size_t vol_port = left_static ? 1 : 0;
             const KeyColumns& vol_key =
                 left_static ? node.right_key : node.left_key;
-            PartitionedDataset vol =
-                Shuffle(input_of(vol_in), vol_key, &local_stats);
+            PartitionedDataset vol = shuffle_input(node, vol_port, vol_key);
             FLINKLESS_RETURN_NOT_OK(log_shuffled(
-                node, vol_in, left_static ? "r" : "l", vol));
+                node, node.inputs[vol_port], left_static ? "r" : "l", vol));
             PartitionedDataset out(n);
             ForEachPartition(op_span, &vol, n, [&](int p) {
               CachedGroups vgroups = GroupByKey(vol.partition(p), vol_key);
@@ -1318,10 +1364,8 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
             push_owned(std::move(out));
             break;
           }
-          PartitionedDataset left =
-              Shuffle(input_of(node.inputs[0]), node.left_key, &local_stats);
-          PartitionedDataset right =
-              Shuffle(input_of(node.inputs[1]), node.right_key, &local_stats);
+          PartitionedDataset left = shuffle_input(node, 0, node.left_key);
+          PartitionedDataset right = shuffle_input(node, 1, node.right_key);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "l", left));
           FLINKLESS_RETURN_NOT_OK(
@@ -1367,20 +1411,30 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
         case OpKind::kUnion: {
           const PartitionedDataset& a = input_of(node.inputs[0]);
           const PartitionedDataset& b = input_of(node.inputs[1]);
+          PartitionedDataset* dead_a = take(node, 0);
+          PartitionedDataset* dead_b = take(node, 1);
+          // Counted before the tasks move records out of dead inputs;
+          // charged after them, like every operator.
+          local_stats.records_processed += a.NumRecords() + b.NumRecords();
+          std::vector<uint64_t> work(n);
+          for (int p = 0; p < n; ++p) {
+            work[p] = a.partition(p).size() + b.partition(p).size();
+          }
           PartitionedDataset out(n);
           ForEachPartition(op_span, &a, n, [&](int p) {
-            UnionPartition(a.partition(p), b.partition(p), &out.partition(p));
+            UnionPartition(
+                a.partition(p), b.partition(p), &out.partition(p),
+                dead_a != nullptr ? &dead_a->partition(p) : nullptr,
+                dead_b != nullptr ? &dead_b->partition(p) : nullptr);
           });
-          local_stats.records_processed += a.NumRecords() + b.NumRecords();
-          ChargeCompute(a, &b);
+          ChargeCompute(work);
           push_owned(std::move(out));
           break;
         }
 
         case OpKind::kDistinct: {
           ++local_stats.batch_ops;
-          PartitionedDataset shuffled = Shuffle(input_of(node.inputs[0]),
-                                                node.left_key, &local_stats);
+          PartitionedDataset shuffled = shuffle_input(node, 0, node.left_key);
           FLINKLESS_RETURN_NOT_OK(
               log_shuffled(node, node.inputs[0], "in", shuffled));
           ObserveBatchRows(shuffled);
@@ -1422,6 +1476,17 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Execute(
           op_span.AddArg(out_key.Key(p),
                          static_cast<int64_t>(produced.partition(p).size()));
         }
+      }
+    }
+    // Release the owned inputs this node read last, here on the
+    // orchestration thread: freeing records inside the tasks, concurrently
+    // with the allocations of other tasks, interleaves the allocator's
+    // free lists and scatters every later dataset across the heap.
+    for (int idx : node.inputs) {
+      Slot& s = slots[idx];
+      if (s.is_owned && last_reader[idx] == node.id && s.view != nullptr) {
+        s.owned = PartitionedDataset();
+        s.view = nullptr;
       }
     }
   }
@@ -1604,16 +1669,18 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
 
   // Serial re-shuffle of a recomputed invariant dataset (the static side
   // re-shipped to the fresh workers; records landing in lost partitions
-  // are a recovery charge). Sources are visited in order, so partition
-  // contents are byte-identical to ShuffleImpl's gather.
-  auto scatter = [&](const PartitionedDataset& in, const KeyColumns& key) {
+  // are a recovery charge) into the targets demanded at `d` — the
+  // consuming kernel reads no others. Sources are visited in order, so
+  // partition contents are byte-identical to ShuffleImpl's gather.
+  auto scatter = [&](const PartitionedDataset& in, const KeyColumns& key,
+                     Demand d) {
     PartitionedDataset out(n);
     uint64_t shipped = 0;
     for (int p = 0; p < in.num_partitions(); ++p) {
       for (const Record& r : in.partition(p)) {
         int target = PartitionedDataset::PartitionOf(r, key, n);
         if (is_lost[target]) ++shipped;
-        out.partition(target).push_back(r);
+        if (d == kAll || is_lost[target]) out.partition(target).push_back(r);
       }
     }
     charge_shipped(shipped);
@@ -1630,7 +1697,9 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
   auto shuffled_input = [&](const PlanNode& node, NodeId input,
                             const char* port, const KeyColumns& key)
       -> Result<PartitionedDataset> {
-    if (invariant[input]) return scatter(input_of(input), key);
+    if (invariant[input]) {
+      return scatter(input_of(input), key, demand[node.id]);
+    }
     FLINKLESS_ASSIGN_OR_RETURN(
         const PartitionedDataset* channel,
         log->Channel(MsglogChannel(node.id, port), options_.tracer));
@@ -1723,7 +1792,7 @@ Result<std::map<std::string, PartitionedDataset>> Executor::Replay(
                                 &combined.partition(p)));
             local_stats.records_processed += in.partition(p).size();
           }
-          shuffled = scatter(combined, node.left_key);
+          shuffled = scatter(combined, node.left_key, demand[id]);
         } else {
           FLINKLESS_ASSIGN_OR_RETURN(
               shuffled,

@@ -224,24 +224,29 @@ Result<BulkIterationResult> BulkIterationDriver::Run(
     if (msglog != nullptr) msglog->BeginSuperstep(iteration);
     const uint64_t replayed_before = messages_replayed_acc;
 
-    dataflow::Bindings bindings = static_bindings_;
-    bindings[config_.state_binding] = &state.data();
     dataflow::ExecStats exec_stats;
-    FLINKLESS_ASSIGN_OR_RETURN(auto outputs,
-                               executor.Execute(*step_plan_, bindings,
-                                                &exec_stats));
+    PartitionedDataset next;
+    {
+      // Scoped so the step's bindings and its other outputs are destroyed
+      // inside the timed superstep, not after wall_time_ns is taken.
+      dataflow::Bindings bindings = static_bindings_;
+      bindings[config_.state_binding] = &state.data();
+      FLINKLESS_ASSIGN_OR_RETURN(auto outputs,
+                                 executor.Execute(*step_plan_, bindings,
+                                                  &exec_stats));
+      auto out_it = outputs.find(config_.next_state_output);
+      if (out_it == outputs.end()) {
+        return Status::NotFound("step plan has no output '" +
+                                config_.next_state_output + "'");
+      }
+      next = std::move(out_it->second);
+    }
     if (iter_span.active()) {
       iter_span.AddArg("records",
                        static_cast<int64_t>(exec_stats.records_processed));
       iter_span.AddArg("messages",
                        static_cast<int64_t>(exec_stats.messages_shuffled));
     }
-    auto out_it = outputs.find(config_.next_state_output);
-    if (out_it == outputs.end()) {
-      return Status::NotFound("step plan has no output '" +
-                              config_.next_state_output + "'");
-    }
-    PartitionedDataset next = std::move(out_it->second);
 
     double metric = 0.0;
     bool converged = false;

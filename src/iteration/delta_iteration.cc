@@ -251,33 +251,41 @@ Result<DeltaIterationResult> DeltaIterationDriver::Run(
     if (msglog != nullptr) msglog->BeginSuperstep(iteration);
     const uint64_t replayed_before = messages_replayed_acc;
 
+    dataflow::ExecStats exec_stats;
+    uint64_t updates = 0;
+    // The snapshot outlives the epoch hook on purpose: freed before a
+    // server publish, its records' memory is reused for the read view's
+    // entries, which then scatter and slow every later read.
     PartitionedDataset solution_ds =
         state.solution().ToDataset(executor.pool());
-    dataflow::Bindings bindings = static_bindings_;
-    bindings[config_.workset_binding] = &state.workset();
-    bindings[config_.solution_binding] = &solution_ds;
+    {
+      // Scoped so the step's bindings and outputs are destroyed inside the
+      // timed superstep, not after wall_time_ns is taken.
+      dataflow::Bindings bindings = static_bindings_;
+      bindings[config_.workset_binding] = &state.workset();
+      bindings[config_.solution_binding] = &solution_ds;
 
-    dataflow::ExecStats exec_stats;
-    FLINKLESS_ASSIGN_OR_RETURN(
-        auto outputs, executor.Execute(*step_plan_, bindings, &exec_stats));
-    auto delta_it = outputs.find(config_.delta_output);
-    if (delta_it == outputs.end()) {
-      return Status::NotFound("step plan has no output '" +
-                              config_.delta_output + "'");
-    }
-    auto workset_it = outputs.find(config_.next_workset_output);
-    if (workset_it == outputs.end()) {
-      return Status::NotFound("step plan has no output '" +
-                              config_.next_workset_output + "'");
-    }
+      FLINKLESS_ASSIGN_OR_RETURN(
+          auto outputs, executor.Execute(*step_plan_, bindings, &exec_stats));
+      auto delta_it = outputs.find(config_.delta_output);
+      if (delta_it == outputs.end()) {
+        return Status::NotFound("step plan has no output '" +
+                                config_.delta_output + "'");
+      }
+      auto workset_it = outputs.find(config_.next_workset_output);
+      if (workset_it == outputs.end()) {
+        return Status::NotFound("step plan has no output '" +
+                                config_.next_workset_output + "'");
+      }
 
-    // Upsert the delta into the solution set (selective update, §2.1),
-    // partition-parallel on the executor's pool: deltas scatter by key hash
-    // and every partition applies its own shard against its own version
-    // clock, so there is no shared counter to serialize on.
-    uint64_t updates = state.solution().ApplyDelta(
-        std::move(delta_it->second), executor.pool(), tracer);
-    state.workset() = std::move(workset_it->second);
+      // Upsert the delta into the solution set (selective update, §2.1),
+      // partition-parallel on the executor's pool: deltas scatter by key
+      // hash and every partition applies its own shard against its own
+      // version clock, so there is no shared counter to serialize on.
+      updates = state.solution().ApplyDelta(std::move(delta_it->second),
+                                            executor.pool(), tracer);
+      state.workset() = std::move(workset_it->second);
+    }
 
     // Superstep boundary: no cached entry is in use any more, so enforce
     // the budget with no exemption — cold artifacts (even the one touched

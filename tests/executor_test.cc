@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <sstream>
 
+#include "dataflow/exec_cache.h"
 #include "dataflow/executor.h"
+#include "runtime/message_log.h"
 
 namespace flinkless::dataflow {
 namespace {
@@ -466,6 +470,206 @@ TEST_P(ParallelismInvarianceTest, WordcountStyleAggregationIsStable) {
 
 INSTANTIATE_TEST_SUITE_P(Parallelism, ParallelismInvarianceTest,
                          ::testing::Values(1, 2, 3, 4, 7, 16));
+
+// -------------------------------------------- intermediate ownership ----
+//
+// Execute moves from or frees an executor-owned intermediate inside the
+// last node that reads it; plan outputs are pinned, and borrowed sources
+// and cache entries never move. Each plan below puts one liveness edge
+// case in front of that rule and must give the exact expected output —
+// and the same outputs, stats, SimClock total, metrics export and message
+// log at every thread count, with the loop-invariant cache off and on.
+
+using Expected = std::map<std::string, std::vector<Record>>;
+
+Record KV(int64_t k, int64_t v) { return MakeRecord(k, v); }
+
+/// Every record of every output, partition by partition, in order.
+std::string Layout(const std::map<std::string, PartitionedDataset>& outs) {
+  std::ostringstream out;
+  for (const auto& [name, ds] : outs) {
+    out << name << ":";
+    for (int p = 0; p < ds.num_partitions(); ++p) {
+      out << " |";
+      for (const Record& r : ds.partition(p)) out << " " << RecordToString(r);
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+std::string StatsLine(const ExecStats& s) {
+  std::ostringstream out;
+  out << s.records_processed << " " << s.messages_shuffled << " "
+      << s.cache_hits << " " << s.records_not_reshuffled << " " << s.batch_ops
+      << " " << s.row_fallback_ops;
+  for (const auto& [name, count] : s.node_output_counts) {
+    out << " " << name << "=" << count;
+  }
+  return out.str();
+}
+
+Record AddToValue(const Record& r, int64_t add) {
+  return MakeRecord(r[0].AsInt64(), r[1].AsInt64() + add);
+}
+
+Record SumValues(const Record& a, const Record& b) {
+  return MakeRecord(a[0].AsInt64(), a[1].AsInt64() + b[1].AsInt64());
+}
+
+/// Runs `plan` for two supersteps over the volatile binding "in" and the
+/// static binding "static" at threads {1,2,8}, cache off and on, message
+/// log on; checks `expected` on every superstep and the thread-count
+/// invariance of everything observable.
+void ExpectOwnershipIsInvisible(const Plan& plan, const Expected& expected) {
+  const PartitionedDataset in =
+      KeyValues({{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}, {1, 11}}, 4);
+  const PartitionedDataset statics =
+      KeyValues({{1, 1}, {1, 2}, {2, 3}, {3, 4}}, 4);
+  const std::string in_layout = Layout({{"in", in}, {"static", statics}});
+  for (bool cached : {false, true}) {
+    std::optional<std::string> reference;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("cache " + std::to_string(cached) + ", threads " +
+                   std::to_string(threads));
+      runtime::SimClock clock;
+      runtime::CostModel costs;
+      runtime::MetricsRegistry registry;
+      runtime::MetricsSink sink;
+      runtime::MessageLog log({"in"});
+      ExecCache cache({"in"});
+      ExecOptions options{4, &clock, &costs};
+      options.num_threads = threads;
+      options.metrics = &sink;
+      options.message_log = &log;
+      options.cache = cached ? &cache : nullptr;
+      Executor executor(options);
+
+      std::string digest;
+      ExecStats stats;
+      for (int step = 1; step <= 2; ++step) {
+        log.BeginSuperstep(step);
+        auto outs =
+            executor.Execute(plan, {{"in", &in}, {"static", &statics}}, &stats);
+        ASSERT_TRUE(outs.ok()) << outs.status().ToString();
+        ASSERT_EQ(outs->size(), expected.size());
+        for (const auto& [name, want] : expected) {
+          EXPECT_EQ(SortedOut(*outs, name), want) << name;
+        }
+        digest += Layout(*outs);
+      }
+      // Borrowed bindings are read, never moved from.
+      EXPECT_EQ(Layout({{"in", in}, {"static", statics}}), in_layout);
+      std::ostringstream ndjson;
+      runtime::ExportMetricsNdjson(registry, sink.Collect(), ndjson);
+      digest += StatsLine(stats) + "\nsim " +
+                std::to_string(clock.TotalNs()) + "\n" + ndjson.str() +
+                "log " + std::to_string(log.appended_records()) + " " +
+                std::to_string(log.appended_bytes());
+      if (!reference) {
+        reference = digest;
+      } else {
+        EXPECT_EQ(digest, *reference);
+      }
+    }
+  }
+}
+
+TEST(ExecutorOwnershipTest, UnionOfANodeWithItself) {
+  Plan plan;
+  auto x = plan.Map(
+      plan.Source("in"), [](const Record& r) { return AddToValue(r, 1); },
+      "x");
+  plan.Output(plan.Union(x, x, "xx"), "out");
+  ExpectOwnershipIsInvisible(
+      plan, {{"out",
+              {KV(1, 11), KV(1, 11), KV(1, 12), KV(1, 12), KV(2, 21),
+               KV(2, 21), KV(3, 31), KV(3, 31), KV(4, 41), KV(4, 41),
+               KV(5, 51), KV(5, 51)}}});
+}
+
+TEST(ExecutorOwnershipTest, NodeReadByTwoLaterOperators) {
+  Plan plan;
+  auto x = plan.Map(
+      plan.Source("in"),
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 2);
+      },
+      "x");
+  // The filter reads x first and must leave it intact for the reduce,
+  // whose shuffle then takes it by move.
+  auto big = plan.Filter(
+      x, [](const Record& r) { return r[1].AsInt64() > 40; }, "big");
+  auto sums = plan.ReduceByKey(x, {0}, SumValues, "sums",
+                               /*pre_combine=*/false);
+  plan.Output(big, "big");
+  plan.Output(sums, "sums");
+  ExpectOwnershipIsInvisible(
+      plan, {{"big", {KV(3, 60), KV(4, 80), KV(5, 100)}},
+             {"sums",
+              {KV(1, 42), KV(2, 40), KV(3, 60), KV(4, 80), KV(5, 100)}}});
+}
+
+TEST(ExecutorOwnershipTest, PlanOutputThatIsAlsoAnInput) {
+  Plan plan;
+  auto x = plan.Map(
+      plan.Source("in"), [](const Record& r) { return AddToValue(r, 1); },
+      "x");
+  plan.Output(x, "x");
+  // x is pinned: the reduce's shuffle must copy it, not move it.
+  auto sums = plan.ReduceByKey(x, {0}, SumValues, "sums",
+                               /*pre_combine=*/false);
+  plan.Output(sums, "sums");
+  ExpectOwnershipIsInvisible(
+      plan, {{"x",
+              {KV(1, 11), KV(1, 12), KV(2, 21), KV(3, 31), KV(4, 41),
+               KV(5, 51)}},
+             {"sums",
+              {KV(1, 23), KV(2, 21), KV(3, 31), KV(4, 41), KV(5, 51)}}});
+}
+
+TEST(ExecutorOwnershipTest, OneNodeFeedsBothSidesOfAJoin) {
+  Plan plan;
+  auto x = plan.Map(
+      plan.Source("in"), [](const Record& r) { return AddToValue(r, 0); },
+      "x");
+  // The left shuffle must copy x; only the right one may take it.
+  auto pairs = plan.Join(
+      x, x, {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(l[0].AsInt64(),
+                          l[1].AsInt64() * 100 + r[1].AsInt64());
+      },
+      "self-join");
+  plan.Output(pairs, "out");
+  ExpectOwnershipIsInvisible(
+      plan, {{"out",
+              {KV(1, 1010), KV(1, 1011), KV(1, 1110), KV(1, 1111),
+               KV(2, 2020), KV(3, 3030), KV(4, 4040), KV(5, 5050)}}});
+}
+
+TEST(ExecutorOwnershipTest, DeadInputOfAnInvariantNodeOnItsCachingRun) {
+  Plan plan;
+  // scaled dies inside totals. Without a cache it is owned and the
+  // pre-combine frees it; with one, the first superstep stores both
+  // invariant nodes and the second serves totals without reading scaled.
+  auto scaled = plan.Map(
+      plan.Source("static"),
+      [](const Record& r) {
+        return MakeRecord(r[0].AsInt64(), r[1].AsInt64() * 10);
+      },
+      "scaled");
+  auto totals = plan.ReduceByKey(scaled, {0}, SumValues, "totals");
+  auto joined = plan.Join(
+      totals, plan.Source("in"), {0}, {0},
+      [](const Record& l, const Record& r) {
+        return MakeRecord(r[0].AsInt64(), l[1].AsInt64() + r[1].AsInt64());
+      },
+      "joined");
+  plan.Output(joined, "out");
+  ExpectOwnershipIsInvisible(
+      plan, {{"out", {KV(1, 40), KV(1, 41), KV(2, 50), KV(3, 70)}}});
+}
 
 }  // namespace
 }  // namespace flinkless::dataflow
