@@ -91,6 +91,40 @@ Result<std::vector<Record>> DeserializeRecords(
 /// Serialized size in bytes (what a checkpoint of these records costs).
 uint64_t SerializedSize(const std::vector<Record>& records);
 
+// Little-endian fixed-width integers, the framing every blob codec shares.
+// GetU32/GetU64 read at `*offset` and advance it; they return false, reading
+// nothing, when fewer bytes remain.
+
+inline void PutU32(uint32_t v, std::vector<uint8_t>* out) {
+  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
+}
+
+inline void PutU64(uint64_t v, std::vector<uint8_t>* out) {
+  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
+}
+
+inline bool GetU32(const std::vector<uint8_t>& bytes, size_t* offset,
+                   uint32_t* v) {
+  if (*offset + 4 > bytes.size()) return false;
+  *v = 0;
+  for (int i = 0; i < 4; ++i) {
+    *v |= static_cast<uint32_t>(bytes[*offset + i]) << (8 * i);
+  }
+  *offset += 4;
+  return true;
+}
+
+inline bool GetU64(const std::vector<uint8_t>& bytes, size_t* offset,
+                   uint64_t* v) {
+  if (*offset + 8 > bytes.size()) return false;
+  *v = 0;
+  for (int i = 0; i < 8; ++i) {
+    *v |= static_cast<uint64_t>(bytes[*offset + i]) << (8 * i);
+  }
+  *offset += 8;
+  return true;
+}
+
 }  // namespace flinkless::dataflow
 
 #endif  // FLINKLESS_DATAFLOW_RECORD_H_

@@ -1,19 +1,17 @@
 // Bulk iterations: the whole intermediate dataset is recomputed every
-// superstep by re-running the step plan (paper §2.1, used by PageRank).
+// superstep by re-running the step plan (paper §2.1, used by PageRank). The
+// driver runs the shared superstep loop (superstep_loop.h); its bulk part
+// runs the step plan and the convergence fn, moves the next state in, and
+// restarts from a copy of the initial state.
 
 #ifndef FLINKLESS_ITERATION_BULK_ITERATION_H_
 #define FLINKLESS_ITERATION_BULK_ITERATION_H_
 
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "common/result.h"
-#include "dataflow/executor.h"
-#include "dataflow/plan.h"
-#include "iteration/context.h"
-#include "iteration/epoch.h"
-#include "iteration/policy.h"
-#include "iteration/state.h"
+#include "iteration/superstep_loop.h"
 
 namespace flinkless::iteration {
 
@@ -34,8 +32,9 @@ using BulkStatsHook =
     std::function<void(int iteration, const dataflow::PartitionedDataset& state,
                        runtime::IterationStats* stats)>;
 
-/// Configuration of a bulk-iterative job.
-struct BulkIterationConfig {
+/// Configuration of a bulk-iterative job; the fields every iteration kind
+/// shares (superstep guard, cache, message log, epoch hook) are inherited.
+struct BulkIterationConfig : IterationConfig {
   /// Hard superstep limit (Flink's "predefined number of iterations").
   int max_iterations = 100;
 
@@ -54,70 +53,26 @@ struct BulkIterationConfig {
 
   /// Optional per-iteration statistics hook.
   BulkStatsHook stats_hook;
-
-  /// Safety valve: abort if recoveries push the total executed supersteps
-  /// beyond this multiple of max_iterations.
-  int max_total_supersteps_factor = 20;
-
-  /// Cache loop-invariant plan results (static shuffles, join build-side
-  /// indexes) across supersteps. Outputs are byte-identical either way;
-  /// only repeated work on the static bindings is skipped. See
-  /// exec_cache.h / DESIGN.md §10.
-  bool cache_loop_invariant = true;
-
-  /// Log every shuffled loop-variant channel of the current superstep to an
-  /// outbound message log (runtime/message_log.h, DESIGN.md §14) and expose
-  /// IterationContext::replay_messages, enabling confined-log recovery
-  /// (core::ConfinedLogReplayPolicy). The log rotates at each superstep
-  /// boundary — only the most recent superstep's channels are retained —
-  /// and shares the driver's memory budget, spilling to stable storage
-  /// under pressure. Outputs are byte-identical with the flag on or off.
-  bool message_log = false;
-
-  /// Optional superstep-boundary observer (iteration/epoch.h): fired after
-  /// OnJobStart (kJobStart), at each consistent superstep boundary
-  /// (kEpochComplete / kRecoveryComplete) and mid-recovery
-  /// (kFailureDetected). The driver blocks while the hook runs — the job
-  /// server parks the job thread here to hand out superstep turns. Empty =
-  /// off; the hook never changes outputs, stats, or simulated charges.
-  EpochHook epoch_hook;
 };
 
-/// Result of a bulk-iterative run.
-struct BulkIterationResult {
+/// Result of a bulk-iterative run: the progress fields plus the final state.
+struct BulkIterationResult : IterationProgress {
   dataflow::PartitionedDataset final_state;
-  /// Highest iteration number reached (the job's logical progress).
-  int iterations = 0;
-  /// Total supersteps actually executed, counting rollback re-execution.
-  int supersteps_executed = 0;
-  bool converged = false;
-  int failures_recovered = 0;
 };
 
 /// Drives a bulk iteration of `step_plan` under a fault-tolerance policy.
-class BulkIterationDriver {
+/// The plan must have an output named config.next_state_output and may
+/// reference config.state_binding plus any of the static bindings as
+/// sources.
+class BulkIterationDriver : public IterationDriver<BulkIterationConfig> {
  public:
-  /// `step_plan` and the datasets referenced by `static_bindings` are
-  /// borrowed and must outlive the driver. The plan must have an output
-  /// named config.next_state_output and may reference config.state_binding
-  /// plus any of the static bindings as sources.
-  BulkIterationDriver(const dataflow::Plan* step_plan,
-                      dataflow::Bindings static_bindings,
-                      BulkIterationConfig config,
-                      dataflow::ExecOptions exec_options, JobEnv env);
+  using IterationDriver::IterationDriver;
 
   /// Runs to convergence (or max_iterations) from `initial`, which must be
   /// hash-partitioned by config.state_key. The policy handles any failures
   /// from env.failures.
   Result<BulkIterationResult> Run(dataflow::PartitionedDataset initial,
                                   FaultTolerancePolicy* policy);
-
- private:
-  const dataflow::Plan* step_plan_;
-  dataflow::Bindings static_bindings_;
-  BulkIterationConfig config_;
-  dataflow::ExecOptions exec_options_;
-  JobEnv env_;
 };
 
 }  // namespace flinkless::iteration

@@ -1,21 +1,19 @@
 // Delta iterations: a solution set holds the intermediate result, a working
 // set holds pending updates; the step plan consumes the workset, emits
 // updates to the solution set and the next workset, and the job terminates
-// when the workset is empty (paper §2.1, used by Connected Components).
+// when the workset is empty (paper §2.1, used by Connected Components). The
+// driver runs the shared superstep loop (superstep_loop.h); its delta part
+// binds a snapshot of the solution set, applies the delta, moves the
+// workset in, and reports the workset drained.
 
 #ifndef FLINKLESS_ITERATION_DELTA_ITERATION_H_
 #define FLINKLESS_ITERATION_DELTA_ITERATION_H_
 
 #include <functional>
 #include <string>
+#include <vector>
 
-#include "common/result.h"
-#include "dataflow/executor.h"
-#include "dataflow/plan.h"
-#include "iteration/context.h"
-#include "iteration/epoch.h"
-#include "iteration/policy.h"
-#include "iteration/state.h"
+#include "iteration/superstep_loop.h"
 
 namespace flinkless::iteration {
 
@@ -26,8 +24,12 @@ using DeltaStatsHook = std::function<void(
     const dataflow::PartitionedDataset& workset,
     runtime::IterationStats* stats)>;
 
-/// Configuration of a delta-iterative job.
-struct DeltaIterationConfig {
+/// Configuration of a delta-iterative job; the fields every iteration kind
+/// shares (superstep guard, cache, message log, epoch hook) are inherited.
+/// With message_log on, confined-log replay assumes the delta and
+/// next-workset outputs are co-partitioned by solution_key (true for every
+/// plan in src/algos — their final shuffle keys on the vertex id).
+struct DeltaIterationConfig : IterationConfig {
   /// Hard superstep limit.
   int max_iterations = 1000;
 
@@ -45,53 +47,18 @@ struct DeltaIterationConfig {
 
   /// Optional per-iteration statistics hook.
   DeltaStatsHook stats_hook;
-
-  /// Safety valve against recovery loops (multiple of max_iterations).
-  int max_total_supersteps_factor = 20;
-
-  /// Cache loop-invariant plan results (static shuffles, join build-side
-  /// indexes) across supersteps. The workset and solution bindings are
-  /// volatile; everything derived only from the static bindings is built
-  /// once. Outputs are byte-identical either way (DESIGN.md §10).
-  bool cache_loop_invariant = true;
-
-  /// Log every shuffled loop-variant channel of the current superstep to an
-  /// outbound message log (runtime/message_log.h, DESIGN.md §14) and expose
-  /// IterationContext::replay_messages, enabling confined-log recovery
-  /// (core::ConfinedLogReplayPolicy). The log rotates at each superstep
-  /// boundary and shares the driver's memory budget, spilling to stable
-  /// storage under pressure. Outputs are byte-identical with the flag on or
-  /// off. The replay hook assumes the delta and next-workset outputs are
-  /// co-partitioned by solution_key (true for every plan in src/algos —
-  /// their final shuffle keys on the vertex id).
-  bool message_log = false;
-
-  /// Optional superstep-boundary observer (iteration/epoch.h): fired after
-  /// OnJobStart (kJobStart), at each consistent superstep boundary
-  /// (kEpochComplete / kRecoveryComplete) and mid-recovery
-  /// (kFailureDetected). The driver blocks while the hook runs — the job
-  /// server parks the job thread here to hand out superstep turns. Empty =
-  /// off; the hook never changes outputs, stats, or simulated charges.
-  EpochHook epoch_hook;
 };
 
-/// Result of a delta-iterative run.
-struct DeltaIterationResult {
+/// Result of a delta-iterative run: the progress fields (converged = the
+/// workset drained) plus the final solution set.
+struct DeltaIterationResult : IterationProgress {
   SolutionSet final_solution;
-  int iterations = 0;
-  int supersteps_executed = 0;
-  /// True when the workset drained (the delta iteration's convergence).
-  bool converged = false;
-  int failures_recovered = 0;
 };
 
 /// Drives a delta iteration of `step_plan` under a fault-tolerance policy.
-class DeltaIterationDriver {
+class DeltaIterationDriver : public IterationDriver<DeltaIterationConfig> {
  public:
-  DeltaIterationDriver(const dataflow::Plan* step_plan,
-                       dataflow::Bindings static_bindings,
-                       DeltaIterationConfig config,
-                       dataflow::ExecOptions exec_options, JobEnv env);
+  using IterationDriver::IterationDriver;
 
   /// Runs until the workset drains (or max_iterations). `initial_solution`
   /// records are indexed by config.solution_key; `initial_workset` must have
@@ -100,13 +67,6 @@ class DeltaIterationDriver {
       std::vector<dataflow::Record> initial_solution,
       dataflow::PartitionedDataset initial_workset,
       FaultTolerancePolicy* policy);
-
- private:
-  const dataflow::Plan* step_plan_;
-  dataflow::Bindings static_bindings_;
-  DeltaIterationConfig config_;
-  dataflow::ExecOptions exec_options_;
-  JobEnv env_;
 };
 
 }  // namespace flinkless::iteration

@@ -2,13 +2,12 @@
 // an observer (the job server, DESIGN.md §16) can publish read views with
 // read-your-epoch consistency.
 //
-// Both drivers fire the hook at the same four points of their superstep
-// loop. Per superstep exactly one of kEpochComplete OR the pair
-// (kFailureDetected, then kRecoveryComplete) fires, so a consumer that
-// refreshes its view only on kEpochComplete/kRecoveryComplete never
-// observes a half-applied delta: between those two events the state is
-// either untouched or mid-recovery, and the previous published epoch stays
-// pinned.
+// The hook fires from one place, the superstep loop both drivers run
+// (superstep_loop.h): kJobStart once, then per superstep exactly one of
+// kEpochComplete OR the pair (kFailureDetected, then kRecoveryComplete). A
+// consumer that refreshes its view only on kEpochComplete/kRecoveryComplete
+// never observes a half-applied delta: between those events the state is
+// either untouched or mid-recovery, and the previous epoch stays pinned.
 
 #ifndef FLINKLESS_ITERATION_EPOCH_H_
 #define FLINKLESS_ITERATION_EPOCH_H_

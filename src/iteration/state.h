@@ -56,7 +56,6 @@ class IterationState {
 /// via FLINKLESS_CHECK.
 class BulkState final : public IterationState {
  public:
-  BulkState() = default;
   explicit BulkState(dataflow::PartitionedDataset data)
       : data_(std::move(data)) {}
 
@@ -87,7 +86,6 @@ class SolutionSet {
                                  int num_partitions);
 
   int num_partitions() const { return static_cast<int>(parts_.size()); }
-  const dataflow::KeyColumns& key() const { return key_; }
 
   /// Inserts or replaces the entry with `record`'s key. Returns true when an
   /// existing entry was replaced. Bumps only the owning partition's clock.
@@ -194,7 +192,6 @@ class SolutionSet {
 /// loses both pieces of the affected partitions.
 class DeltaState final : public IterationState {
  public:
-  DeltaState() = default;
   DeltaState(SolutionSet solution, dataflow::PartitionedDataset workset)
       : solution_(std::move(solution)), workset_(std::move(workset)) {}
 

@@ -39,8 +39,9 @@ class FailureSchedule {
   /// their partition lists are combined when queried.
   void Add(FailureEvent event);
 
-  /// Partitions failing at the given iteration that have not fired yet.
-  /// Marks them fired. Returns an empty vector when nothing fails.
+  /// Partitions failing at the given iteration that have not fired yet,
+  /// sorted, each named once even when several events list it. Marks them
+  /// fired. Returns an empty vector when nothing fails.
   std::vector<int> Fire(int iteration);
 
   /// Partitions scheduled at `iteration` without consuming them.

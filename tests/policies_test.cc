@@ -649,49 +649,51 @@ TEST(DeltaCheckpointTest, RestoreRejectsNonContiguousChain) {
       << outcome.status();
 }
 
-TEST(DeltaCheckpointTest, RestoresLegacyV1BlobsWithoutVersionFraming) {
-  // Blobs written before the v2 format carried no version metadata: the
-  // first u64 is the solution length directly. Restores must still work
-  // (without contiguity validation).
-  auto frame_v1 = [](const std::vector<Record>& solution_entries,
-                     const std::vector<Record>& workset_records) {
-    std::vector<uint8_t> solution_blob =
-        dataflow::SerializeRecords(solution_entries);
-    std::vector<uint8_t> workset_blob =
-        dataflow::SerializeRecords(workset_records);
-    std::vector<uint8_t> out;
-    uint64_t len = solution_blob.size();
-    for (int i = 0; i < 8; ++i) out.push_back((len >> (8 * i)) & 0xff);
-    out.insert(out.end(), solution_blob.begin(), solution_blob.end());
-    out.insert(out.end(), workset_blob.begin(), workset_blob.end());
-    return out;
-  };
+/// Puts a little-endian u64 into `out`.
+void AppendU64(uint64_t v, std::vector<uint8_t>* out) {
+  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
+}
 
+/// Checkpoints a 2-partition delta state at job start, overwrites partition
+/// 0's base blob with `blob`, and returns what restoring the chain yields.
+Status RestoreWithBaseBlob(const std::vector<uint8_t>& blob) {
   runtime::StableStorage storage(nullptr, nullptr);
   DeltaCheckpointPolicy policy(1);
   iteration::DeltaState state = MakeDeltaState(8, 2);
   state.workset() = PartitionedDataset(2);
-  ASSERT_TRUE(policy.OnJobStart(MakeContext(0, 2, &storage), &state).ok());
-
-  // Replace the freshly written base blobs with v1-framed equivalents.
-  for (int p = 0; p < 2; ++p) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "test-job/dckpt/%08d/%06d", 0, p);
-    ASSERT_TRUE(storage
-                    .Write(buf, frame_v1(state.solution().PartitionRecords(p),
-                                         {}))
-                    .ok());
-  }
-
+  FLINKLESS_RETURN_NOT_OK(
+      policy.OnJobStart(MakeContext(0, 2, &storage), &state));
+  FLINKLESS_RETURN_NOT_OK(
+      storage.Write("test-job/dckpt/00000000/000000", blob));
   for (int p = 0; p < 2; ++p) state.ClearPartition(p);
-  auto outcome = policy.OnFailure(MakeContext(1, 2, &storage), &state, {0, 1});
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(state.solution().NumEntries(), 8u);
-  for (int64_t v = 0; v < 8; ++v) {
-    const Record* entry = state.solution().Lookup(MakeRecord(v));
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ((*entry)[1].AsInt64(), v);
-  }
+  return policy.OnFailure(MakeContext(1, 2, &storage), &state, {0, 1})
+      .status();
+}
+
+TEST(DeltaCheckpointTest, RejectsLegacyV1Blobs) {
+  // v1 blobs started directly with the solution length and carried no
+  // version window. Nothing writes them any more; a blob without the v2
+  // magic is corrupt.
+  std::vector<uint8_t> solution_blob = dataflow::SerializeRecords(
+      MakeDeltaState(8, 2).solution().PartitionRecords(0));
+  std::vector<uint8_t> v1;
+  AppendU64(solution_blob.size(), &v1);
+  v1.insert(v1.end(), solution_blob.begin(), solution_blob.end());
+  std::vector<uint8_t> empty_workset = dataflow::SerializeRecords({});
+  v1.insert(v1.end(), empty_workset.begin(), empty_workset.end());
+  EXPECT_TRUE(RestoreWithBaseBlob(v1).IsDataLoss());
+}
+
+TEST(DeltaCheckpointTest, RestoreRejectsInflatedSolutionLength) {
+  // A v2 header whose solution length is near 2^64: offset 32 plus the
+  // length wraps to 4, which would pass `offset + len > size`.
+  std::vector<uint8_t> blob;
+  AppendU64(0x00325043444b4c46ULL, &blob);  // "FLKDCP2\0"
+  AppendU64(0, &blob);                      // since
+  AppendU64(0, &blob);                      // clock
+  AppendU64(~uint64_t{0} - 27, &blob);      // solution length
+  blob.resize(blob.size() + 8, 0);
+  EXPECT_TRUE(RestoreWithBaseBlob(blob).IsDataLoss());
 }
 
 // ------------------------------------------------------------ Optimistic --
